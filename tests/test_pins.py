@@ -1,0 +1,85 @@
+"""Byte pins of the data files each subcommand writes.
+
+Each case runs one subcommand in-process at a small fixed config and seed
+and compares the SHA-256 of ``report.csv`` and of every ``series_*.csv``
+with the digest recorded here.  A refactor must leave every digest as it
+is.
+
+The digests hold for the build they were recorded on: numpy 2.4.6 with
+OpenBLAS 0.3.31 (scipy 1.17.1), x86-64.  Another numpy or BLAS build may
+change the last bits of a matrix product or a reduction and so the bytes.
+A repin is allowed only for a declared change to the random stream or the
+numerics, recorded in CHANGES.md with the old and new digests.
+
+The wave case exits 1 at this seed: its ``energy_variance`` row at t=0.3
+reads z=-3.36, one of the false alarms of the 3-sigma gate.  The pin keeps
+that row as it is, ``pass`` flag included.
+"""
+
+import hashlib
+
+import pytest
+
+from spde_lab import cli
+
+SEED = 7
+
+PINS = {
+    "wave": (
+        ["wave", "--modes", "4", "--c", "1.3", "--l", "0.7", "--g-mode", "2",
+         "--dt", "0.05", "--t-final", "0.5", "--samples", "300"],
+        {
+            "report.csv": "11aa8b4f6648c877284e3c4e53d2821b68d7ad2a625cd08f17950e7414272f5b",
+            "series_energy.csv": "751b4a19c755a50204b36c996605c1a8e4f07ce3d8a3004fa580003492a9d767",
+        },
+    ),
+    "heat": (
+        ["heat", "--samples", "300"],
+        {
+            "report.csv": "5a8554044494bad7562966cc3b20cbdc1b841211debc8aef9beaf0f2c24768ae",
+            "series_mean_norm.csv": "8b59697714cc2292c0c28696b8254622ae1a82314e680de29fd73dfa5333c76e",
+        },
+    ),
+    "wiener": (
+        ["wiener", "--modes", "8", "--samples", "300"],
+        {
+            "report.csv": "f4ab6fcf6ce35182a4d437e42d900c1d207131c4e34f6b9b324966190e286772",
+            "series_norm2.csv": "871694eaa1edc5d4483dd4f8c78010939fb3631a289fe51fe64e9d4f4ba5b4a1",
+        },
+    ),
+    "lyapunov": (
+        ["lyapunov", "--t-final", "10"],
+        {
+            "report.csv": "12176e9b75125e395eb2de9ed7f5e698e75c25c38c5f041df1f274c7c441867d",
+            "series_lognorm.csv": "bd12940ecf8cd2ec01e63f0bff5acc27580d7a6f77e47909cc01a58dcb2fa754",
+        },
+    ),
+    "burgers-additive": (
+        ["burgers", "--noise", "additive", "--modes", "8", "--dt", "0.001",
+         "--t-final", "0.05", "--samples", "40"],
+        {
+            "report.csv": "f3539093ddfab83c096f24b27dcdf258b3768a327c41ade8343fe2db37fd3d8a",
+            "series_energy.csv": "416d150d47729d151d0f31fd6780c5974c63c5e5091c6edfc583976ccaa1e5c0",
+        },
+    ),
+    "burgers-multiplicative": (
+        ["burgers", "--noise", "multiplicative", "--modes", "8", "--dt", "0.001",
+         "--t-final", "0.05", "--samples", "40"],
+        {
+            "report.csv": "2cadd05a187da52a306983bd4d30153ea54cbedaab24a9fcc5e9b3e4dabfeb93",
+            "series_energy.csv": "f7abea2bf98e881d8ffd3c36234669f4c45dd9971c8e74022669582b4a6f930e",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINS))
+def test_data_files_match_pins(case, tmp_path):
+    argv, digests = PINS[case]
+    code = cli.run(argv + ["--seed", str(SEED), "--out", str(tmp_path)])
+    assert code in (0, 1), f"{case}: exit code {code}"
+    written = {p.name for p in tmp_path.glob("series_*.csv")} | {"report.csv"}
+    assert written == set(digests), f"{case}: wrote {sorted(written)}"
+    for name, digest in digests.items():
+        actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert actual == digest, f"{case}: {name} differs from its pin (sha256 {actual})"
