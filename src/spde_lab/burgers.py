@@ -96,7 +96,7 @@ class BurgersProblem:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return (np.arange(1, self.n_modes + 1) * np.pi / self.length) ** 2
+        return self.basis.eigenvalues
 
 
 @dataclass(frozen=True)
@@ -217,21 +217,21 @@ def step(
     return out
 
 
-def _evolve_block(prob: BurgersProblem, grid: TimeGrid, streams):
-    """Energy traces for one batch of streams.
+def _draw_shape(prob: BurgersProblem, grid: TimeGrid):
+    """Per-sample draws: [steps, N] for additive noise, [steps] otherwise."""
+    if isinstance(prob.noise, AdditiveNoise):
+        return (grid.steps, prob.n_modes)
+    return grid.steps
+
+
+def _evolve_block(prob: BurgersProblem, grid: TimeGrid, draws: np.ndarray):
+    """Energy traces for one batch of standard normals, [B, *_draw_shape].
 
     Returns (e2 [B, steps+1], diverged_step [B], int, -1 when clean).
     Diverged samples are frozen and their remaining energies set to NaN;
     they never contaminate other rows.
     """
-    batch = len(streams)
-    n = prob.n_modes
-    additive = isinstance(prob.noise, AdditiveNoise)
-    draws = np.empty((batch, grid.steps, n) if additive else (batch, grid.steps))
-    for j, stream in enumerate(streams):
-        gen = stream.generator()
-        draws[j] = gen.standard_normal((grid.steps, n) if additive else grid.steps)
-
+    batch = draws.shape[0]
     coeffs = np.tile(prob.init_coeffs, (batch, 1))
     e2 = np.empty((batch, grid.steps + 1))
     e2[:, 0] = np.sum(coeffs**2, axis=1)
@@ -262,7 +262,8 @@ def sample_energy_trace(
     prob: BurgersProblem, grid: TimeGrid, stream: RandomStream
 ) -> EnergyTrace:
     """Energy trace of a single trajectory driven by the given stream."""
-    e2, diverged = _evolve_block(prob, grid, [stream])
+    draws = stream.normals(_draw_shape(prob, grid))[np.newaxis]
+    e2, diverged = _evolve_block(prob, grid, draws)
     at = int(diverged[0]) if diverged[0] >= 0 else None
     return EnergyTrace(grid, e2[0], at)
 
@@ -271,7 +272,8 @@ def trace_block(
     prob: BurgersProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Energy traces for samples [start, stop), keyed by sample index."""
-    return _evolve_block(prob, grid, [stream.child(i) for i in range(start, stop)])
+    draws = stream.block_normals(start, stop, _draw_shape(prob, grid))
+    return _evolve_block(prob, grid, draws)
 
 
 def simulate_energy_ensemble(

@@ -195,10 +195,14 @@ def _checkpoints(steps: int, count: int = 5) -> list[int]:
 
 
 def _block_size(grid: wiener.TimeGrid, n_modes: int) -> int:
-    """Sample block size capped so one block stays within ~256 MB.
+    """Samples per block, at most 128.
 
-    A pure function of the configuration, so outputs stay byte-identical
-    across worker counts and reruns.
+    The cap keeps one ``[batch, steps, n_modes]`` float64 array at or below
+    2^25 elements (256 MiB).  It bounds that one array, not a block's peak
+    memory: a wave block holds about eleven arrays of that size at its
+    peak, 1.44 GB at 64 modes and 2000 steps (ROADMAP item 2).  A pure
+    function of the configuration, so outputs stay byte-identical across
+    worker counts and reruns.
     """
     per_sample = max(1, grid.steps * n_modes)
     return max(1, min(128, (1 << 25) // per_sample))
@@ -234,36 +238,64 @@ def _wiener_block(spec, basis, grid, vec_a, pairs, probes, stream, start, stop):
     return np.concatenate(cols, axis=1)
 
 
-def _wave_block(prob, grid, x_points, check_idx, pair_idx, stream, start, stop):
-    """Per-sample wave summaries: field values, deviations, energies."""
+def _field_columns(u, basis_vals, means, pair_idx):
+    """Field values at the final step, then the L2 deviation at each
+    checkpoint, then the cross deviation of each checkpoint pair.
+
+    ``means`` maps each checkpoint index to its mean coefficients.
+    """
+    devs = {k: u[:, k, :] - mean for k, mean in means.items()}
+    cols = [u[:, -1, :] @ basis_vals.T]
+    cols += [np.sum(dev**2, axis=1)[:, np.newaxis] for dev in devs.values()]
+    cols += [np.sum(devs[k_t] * devs[k_s], axis=1)[:, np.newaxis] for k_t, k_s in pair_idx]
+    return cols
+
+
+def _wave_block(prob, grid, basis_vals, means, pair_idx, stream, start, stop):
+    """Per-sample wave summaries: :func:`_field_columns`, then energies."""
     u, v = wave.simulate_block(prob, grid, stream, start, stop)
-    basis_vals = prob.basis.evaluate(np.asarray(x_points))
-    cols = [u[:, -1, :] @ basis_vals.T]
-    means = {k: wave.mean_coefficients(prob, grid.times[k]).coeffs for k in check_idx}
-    for k in check_idx:
-        dev = u[:, k, :] - means[k]
-        cols.append(np.sum(dev**2, axis=1)[:, np.newaxis])
-    for k_t, k_s in pair_idx:
-        dev_t = u[:, k_t, :] - wave.mean_coefficients(prob, grid.times[k_t]).coeffs
-        dev_s = u[:, k_s, :] - wave.mean_coefficients(prob, grid.times[k_s]).coeffs
-        cols.append(np.sum(dev_t * dev_s, axis=1)[:, np.newaxis])
-    cols.append(wave.energy_block(prob, u, v))
-    return np.concatenate(cols, axis=1)
+    cols = _field_columns(u, basis_vals, means, pair_idx)
+    return np.concatenate(cols + [wave.energy_block(prob, u, v)], axis=1)
 
 
-def _heat_block(prob, grid, x_points, check_idx, pair_idx, stream, start, stop):
-    """Per-sample heat summaries: field values, deviations, cross products."""
+def _heat_block(prob, grid, basis_vals, means, pair_idx, stream, start, stop):
+    """Per-sample heat summaries: :func:`_field_columns`."""
     _, u = heat.simulate_block(prob, grid, stream, start, stop)
-    basis_vals = prob.basis.evaluate(np.asarray(x_points))
-    cols = [u[:, -1, :] @ basis_vals.T]
-    for k in check_idx:
-        dev = u[:, k, :] - heat.mean_closed_form(prob, grid.times[k]).coeffs
-        cols.append(np.sum(dev**2, axis=1)[:, np.newaxis])
+    return np.concatenate(_field_columns(u, basis_vals, means, pair_idx), axis=1)
+
+
+def _field_checks(grid: wiener.TimeGrid, mean_coeffs):
+    """Mean coefficients ``mean_coeffs(t)`` keyed by checkpoint index, and
+    the three checkpoint pairs of the covariance rows."""
+    k = _checkpoints(grid.steps)
+    means = {kk: mean_coeffs(grid.times[kk]) for kk in k}
+    return means, [(k[-1], k[len(k) // 2]), (k[-1], k[0]), (k[len(k) // 2], k[0])]
+
+
+def _field_rows(values, grid, means, pair_idx, mean_x, variance, covariance):
+    """``mean_x*``, ``variance`` and ``covariance_s=*`` rows; row j reads column j.
+
+    ``values`` starts with the :func:`_field_columns` columns.  ``mean_x``
+    lists the closed-form means at the final time; ``variance(t)`` and
+    ``covariance(t, s)`` give the other closed forms.
+    """
+    t_final = grid.t_final
+    rows = [
+        compare(f"mean_x{i}", t_final, closed, pairwise_stats(values[:, i - 1]))
+        for i, closed in enumerate(mean_x, start=1)
+    ]
+    for kk in means:
+        t = grid.times[kk]
+        rows.append(compare("variance", t, variance(t), pairwise_stats(values[:, len(rows)])))
     for k_t, k_s in pair_idx:
-        dev_t = u[:, k_t, :] - heat.mean_closed_form(prob, grid.times[k_t]).coeffs
-        dev_s = u[:, k_s, :] - heat.mean_closed_form(prob, grid.times[k_s]).coeffs
-        cols.append(np.sum(dev_t * dev_s, axis=1)[:, np.newaxis])
-    return np.concatenate(cols, axis=1)
+        t, s = grid.times[k_t], grid.times[k_s]
+        rows.append(
+            compare(
+                f"covariance_s={s:g}", t, covariance(t, s),
+                pairwise_stats(values[:, len(rows)]),
+            )
+        )
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -336,53 +368,29 @@ def _run_wave(cfg: dict) -> tuple[Report, dict]:
     stream = RandomStream(cfg["seed"])
 
     x_points = [i * cfg["l"] / 6 for i in range(1, 6)]
-    check_idx = _checkpoints(grid.steps)
-    k = check_idx
-    pair_idx = [(k[-1], k[len(k) // 2]), (k[-1], k[0]), (k[len(k) // 2], k[0])]
+    means, pair_idx = _field_checks(grid, lambda t: wave.mean_coefficients(prob, t).coeffs)
+    basis_vals = prob.basis.evaluate(np.asarray(x_points))
 
-    fn = partial(_wave_block, prob, grid, x_points, check_idx, pair_idx, stream.child(0))
+    fn = partial(_wave_block, prob, grid, basis_vals, means, pair_idx, stream.child(0))
     values = map_blocks(
         fn, cfg["samples"], workers=cfg["workers"], block_size=_block_size(grid, n)
     )
 
-    report = Report(metadata={"experiment": "wave", "config": cfg})
-    col = 0
     t_final = grid.t_final
-    for i, x in enumerate(x_points, start=1):
-        report.add(
-            compare(
-                f"mean_x{i}", t_final, wave.mean_solution(prob, x, t_final),
-                pairwise_stats(values[:, col]),
-            )
-        )
-        col += 1
-    for kk in check_idx:
-        t = grid.times[kk]
-        report.add(
-            compare(
-                "variance", t, wave.variance_closed_form(prob, t),
-                pairwise_stats(values[:, col]),
-            )
-        )
-        col += 1
-    for k_t, k_s in pair_idx:
-        t, s = grid.times[k_t], grid.times[k_s]
-        report.add(
-            compare(
-                f"covariance_s={s:g}", t, wave.covariance_closed_form(prob, t, s),
-                pairwise_stats(values[:, col]),
-            )
-        )
-        col += 1
-
-    energies = values[:, col:]
+    rows = _field_rows(
+        values, grid, means, pair_idx,
+        [wave.mean_solution(prob, x, t_final) for x in x_points],
+        partial(wave.variance_closed_form, prob), partial(wave.covariance_closed_form, prob),
+    )
+    report = Report(rows, metadata={"experiment": "wave", "config": cfg})
+    energies = values[:, len(rows):]
     e0 = wave.initial_energy(prob)
     pumping_note = (
         "diagnostic: white-in-time forcing pumps mean energy at rate "
         "epsilon^2 Tr(Q)/2, so a constant-mean-energy comparison fails "
         "systematically; excluded from exit status"
     )
-    for kk in check_idx:
+    for kk in means:
         t = grid.times[kk]
         e_stats = pairwise_stats(energies[:, kk])
         report.add(
@@ -415,11 +423,10 @@ def _run_heat(cfg: dict) -> tuple[Report, dict]:
     stream = RandomStream(cfg["seed"])
 
     x_points = [0.25, 0.5, 0.75]
-    check_idx = _checkpoints(grid.steps)
-    k = check_idx
-    pair_idx = [(k[-1], k[len(k) // 2]), (k[-1], k[0]), (k[len(k) // 2], k[0])]
+    means, pair_idx = _field_checks(grid, lambda t: heat.mean_closed_form(prob, t).coeffs)
+    basis_vals = prob.basis.evaluate(np.asarray(x_points))
 
-    fn = partial(_heat_block, prob, grid, x_points, check_idx, pair_idx, stream.child(0))
+    fn = partial(_heat_block, prob, grid, basis_vals, means, pair_idx, stream.child(0))
     values = map_blocks(
         fn,
         cfg["samples"],
@@ -427,38 +434,24 @@ def _run_heat(cfg: dict) -> tuple[Report, dict]:
         block_size=_block_size(grid, prob.n_modes),
     )
 
-    report = Report(metadata={"experiment": "heat", "config": cfg})
-    col = 0
     t_final = grid.t_final
-    basis = prob.basis
-    for i, x in enumerate(x_points, start=1):
-        closed = float(heat.mean_closed_form(prob, t_final).evaluate(basis, x))
-        report.add(compare(f"mean_x{i}", t_final, closed, pairwise_stats(values[:, col])))
-        col += 1
-    var_cols = {}
-    for kk in check_idx:
-        t = grid.times[kk]
-        var_cols[kk] = values[:, col]
-        report.add(
-            compare(
-                "variance", t, heat.variance_closed_form(prob, t),
-                pairwise_stats(values[:, col]),
-            )
-        )
-        col += 1
-    for k_t, k_s in pair_idx:
+    mean_x = [
+        float(heat.mean_closed_form(prob, t_final).evaluate(prob.basis, x)) for x in x_points
+    ]
+    rows = _field_rows(
+        values, grid, means, pair_idx, mean_x,
+        partial(heat.variance_closed_form, prob), partial(heat.covariance_closed_form, prob),
+    )
+    first_cov = len(x_points) + len(means)
+    report = Report(rows[:first_cov], metadata={"experiment": "heat", "config": cfg})
+    var_cols = dict(zip(means, values[:, len(x_points) : first_cov].T))
+    # Correlation is a ratio of means, so its uncertainty comes from
+    # fixed-count batch means rather than a single Welford pass.
+    n_batches = min(20, values.shape[0] // 2)
+    batches = np.array_split(np.arange(values.shape[0]), n_batches)
+    for row, (k_t, k_s), cov_col in zip(rows[first_cov:], pair_idx, values[:, first_cov:].T):
+        report.add(row)
         t, s = grid.times[k_t], grid.times[k_s]
-        cov_col = values[:, col]
-        report.add(
-            compare(
-                f"covariance_s={s:g}", t, heat.covariance_closed_form(prob, t, s),
-                pairwise_stats(cov_col),
-            )
-        )
-        # Correlation is a ratio of means, so its uncertainty comes from
-        # fixed-count batch means rather than a single Welford pass.
-        n_batches = min(20, values.shape[0] // 2)
-        batches = np.array_split(np.arange(values.shape[0]), n_batches)
         corr = np.array(
             [
                 cov_col[idx].mean()
@@ -474,7 +467,6 @@ def _run_heat(cfg: dict) -> tuple[Report, dict]:
                 note=f"batch-means estimate ({n_batches} batches)",
             )
         )
-        col += 1
 
     mean_norm = np.array([heat.mean_closed_form(prob, t).norm() for t in grid.times])
     series = {
@@ -585,7 +577,8 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
         )
     mean = np.asarray(stats.mean)
     stderr = np.asarray(stats.stderr)
-    for kk in _checkpoints(grid.steps):
+    checkpoints = _checkpoints(grid.steps)
+    for kk in checkpoints:
         report.add(
             comparison_row(
                 "energy_vs_bound", grid.times[kk], float(bound[kk]),
@@ -593,7 +586,7 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
             )
         )
 
-    for kk in (_checkpoints(grid.steps)[len(_checkpoints(grid.steps)) // 2], grid.steps):
+    for kk in (checkpoints[len(checkpoints) // 2], grid.steps):
         t = grid.times[kk]
         exits = (e2[:, kk] >= cfg["delta"] ** 2).astype(float)
         p_hat = float(exits.mean())

@@ -43,7 +43,7 @@ class HeatProblem:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return (np.arange(1, self.n_modes + 1) * np.pi) ** 2
+        return self.basis.eigenvalues
 
     @property
     def drift_rates(self) -> np.ndarray:
@@ -60,13 +60,13 @@ class HeatSample:
     u: np.ndarray
 
 
-def _realize(prob: HeatProblem, grid: TimeGrid, streams) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar paths [batch, steps+1] and coefficients [batch, steps+1, N]."""
-    w = np.zeros((len(streams), grid.steps + 1))
-    root_dt = np.sqrt(grid.dt)
-    for j, stream in enumerate(streams):
-        dw = root_dt * stream.generator().standard_normal(grid.steps)
-        np.cumsum(dw, out=w[j, 1:])
+def _realize(prob: HeatProblem, grid: TimeGrid, draws: np.ndarray):
+    """Scalar paths [batch, steps+1] and coefficients [batch, steps+1, N].
+
+    ``draws`` are the standard normals of the scalar paths, [batch, steps].
+    """
+    w = np.zeros((draws.shape[0], grid.steps + 1))
+    np.cumsum(np.sqrt(grid.dt) * draws, axis=1, out=w[:, 1:])
     exponent = (
         prob.drift_rates * grid.times[:, np.newaxis] + prob.epsilon * w[:, :, np.newaxis]
     )
@@ -76,7 +76,7 @@ def _realize(prob: HeatProblem, grid: TimeGrid, streams) -> tuple[np.ndarray, np
 
 def sample_solution(prob: HeatProblem, grid: TimeGrid, stream: RandomStream) -> HeatSample:
     """Draw one realization, exact in distribution at the grid points."""
-    w, u = _realize(prob, grid, [stream])
+    w, u = _realize(prob, grid, stream.normals(grid.steps)[np.newaxis])
     return HeatSample(grid, w[0], u[0])
 
 
@@ -88,7 +88,7 @@ def simulate_block(
     Sample i draws from ``stream.child(i)``, so results are independent of
     how the index range is sharded across workers.
     """
-    return _realize(prob, grid, [stream.child(i) for i in range(start, stop)])
+    return _realize(prob, grid, stream.block_normals(start, stop, grid.steps))
 
 
 def mean_closed_form(prob: HeatProblem, t: float) -> HilbertVector:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .hilbert import DirichletBasis
 from .montecarlo import RandomStream
 from .wiener import TimeGrid
 
@@ -44,7 +45,7 @@ class LyapunovProblem:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return (np.arange(1, self.n_modes + 1) * np.pi) ** 2
+        return DirichletBasis(1.0, self.n_modes).eigenvalues
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Reproducible random streams, streaming moment accumulators and
+"""Reproducible random streams, the pairwise moment reduction and
 closed-form-vs-Monte-Carlo comparison reports.
 
 Every stochastic experiment in this package draws its randomness through a
@@ -48,6 +48,19 @@ class RandomStream:
         """``n`` independent standard-normal draws, deterministic per key."""
         return self.generator().standard_normal(n)
 
+    def block_normals(self, start: int, stop: int, shape) -> np.ndarray:
+        """Draws of shape ``[stop - start, *shape]`` for samples [start, stop).
+
+        Row ``i - start`` holds what ``child(i).normals(shape)`` returns, so
+        a sample's draws do not depend on the block it falls in.  This is
+        the one place where ensembles key samples to substreams.
+        """
+        sample_shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+        out = np.empty((stop - start, *sample_shape))
+        for i in range(start, stop):
+            self.child(i).generator().standard_normal(out=out[i - start])
+        return out
+
 
 def _broadcast_count(count: float, template: np.ndarray | float):
     """Reshape a per-chunk count vector so it broadcasts against payloads."""
@@ -58,24 +71,16 @@ def _broadcast_count(count: float, template: np.ndarray | float):
 
 @dataclass
 class EnsembleStats:
-    """Welford accumulator for mean and variance with a parallel merge.
+    """Sample count, mean and sum of squared deviations, with a parallel merge.
 
-    ``mean`` and ``m2`` may be scalars or arrays (elementwise statistics,
-    e.g. one accumulator per time-grid point).  ``m2`` is the running sum of
-    squared deviations, so ``variance = m2 / (count - 1)``.
+    :func:`pairwise_stats` builds them from per-sample values.  ``mean`` and
+    ``m2`` may be scalars or arrays (elementwise statistics, e.g. one per
+    time-grid point); ``variance = m2 / (count - 1)``.
     """
 
     count: int = 0
     mean: float | np.ndarray = 0.0
     m2: float | np.ndarray = 0.0
-
-    def push(self, x) -> "EnsembleStats":
-        """Single Welford update (mutates and returns self)."""
-        self.count += 1
-        delta = x - self.mean
-        self.mean = self.mean + delta / self.count
-        self.m2 = self.m2 + delta * (x - self.mean)
-        return self
 
     def merge(self, other: "EnsembleStats") -> "EnsembleStats":
         """Combine two accumulators (Chan's parallel update); returns a new one."""
@@ -133,43 +138,6 @@ def pairwise_stats(values: np.ndarray) -> EnsembleStats:
     payload_mean = mean[0] if mean[0].ndim else float(mean[0])
     payload_m2 = m2[0] if m2[0].ndim else float(m2[0])
     return EnsembleStats(int(count[0]), payload_mean, payload_m2)
-
-
-@dataclass
-class PairStats:
-    """Streaming cross-moment accumulator for covariance of a value pair."""
-
-    count: int = 0
-    mean_x: float = 0.0
-    mean_y: float = 0.0
-    comoment: float = 0.0
-
-    def push(self, x: float, y: float) -> "PairStats":
-        self.count += 1
-        dx = x - self.mean_x
-        self.mean_x += dx / self.count
-        self.mean_y += (y - self.mean_y) / self.count
-        self.comoment += dx * (y - self.mean_y)
-        return self
-
-    def merge(self, other: "PairStats") -> "PairStats":
-        if other.count == 0:
-            return PairStats(self.count, self.mean_x, self.mean_y, self.comoment)
-        if self.count == 0:
-            return PairStats(other.count, other.mean_x, other.mean_y, other.comoment)
-        n = self.count + other.count
-        dx = other.mean_x - self.mean_x
-        dy = other.mean_y - self.mean_y
-        co = self.comoment + other.comoment + dx * dy * (self.count * other.count / n)
-        mean_x = self.mean_x + dx * (other.count / n)
-        mean_y = self.mean_y + dy * (other.count / n)
-        return PairStats(n, mean_x, mean_y, co)
-
-    @property
-    def covariance(self) -> float:
-        if self.count < 2:
-            raise ValueError("covariance requires at least two samples")
-        return self.comoment / (self.count - 1)
 
 
 @dataclass(frozen=True)
@@ -236,7 +204,7 @@ def compare(
     gating: bool = True,
     note: str = "",
 ) -> ComparisonRow:
-    """Compare a closed-form value against a Welford accumulator."""
+    """Compare a closed-form value against ensemble statistics."""
     if stats.count < 2:
         raise ValueError("comparison requires at least two samples")
     return comparison_row(
@@ -260,9 +228,6 @@ class Report:
 
     def add(self, row: ComparisonRow) -> None:
         self.rows.append(row)
-
-    def extend(self, rows) -> None:
-        self.rows.extend(rows)
 
     def all_passed(self) -> bool:
         """True when every gating row passed (diagnostic rows excluded)."""
@@ -311,7 +276,7 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_summary_json(report: Report, path, *, timestamp: bool = True) -> None:
+def write_summary_json(report: Report, path) -> None:
     """Machine-readable run summary.
 
     The generation time lives in the single field ``generated-at`` so
@@ -325,8 +290,7 @@ def write_summary_json(report: Report, path, *, timestamp: bool = True) -> None:
     ]
     if notes:
         payload["notes"] = notes
-    if timestamp:
-        payload["generated-at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    payload["generated-at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")

@@ -155,8 +155,8 @@ def _trajectories(prob: WaveProblem, grid: TimeGrid, draws: np.ndarray):
 
 def sample_solution(prob: WaveProblem, grid: TimeGrid, stream: RandomStream) -> WaveSample:
     """Draw one solution path, exact in distribution at the grid points."""
-    draws = stream.generator().standard_normal((grid.steps, prob.n_modes, 2))
-    u, v, i_sin, i_cos = _trajectories(prob, grid, draws[np.newaxis])
+    draws = stream.normals((grid.steps, prob.n_modes, 2))[np.newaxis]
+    u, v, i_sin, i_cos = _trajectories(prob, grid, draws)
     return WaveSample(grid, u[0], v[0], i_sin[0], i_cos[0])
 
 
@@ -168,11 +168,7 @@ def simulate_block(
     Returns (u, v) of shape [batch, steps+1, n_modes]; sample i draws from
     ``stream.child(i)`` exactly like :func:`sample_solution`.
     """
-    draws = np.empty((stop - start, grid.steps, prob.n_modes, 2))
-    for i in range(start, stop):
-        draws[i - start] = stream.child(i).generator().standard_normal(
-            (grid.steps, prob.n_modes, 2)
-        )
+    draws = stream.block_normals(start, stop, (grid.steps, prob.n_modes, 2))
     u, v, _, _ = _trajectories(prob, grid, draws)
     return u, v
 
@@ -222,8 +218,7 @@ def energy(prob: WaveProblem, sample: WaveSample, k: int) -> float:
     """Spectral energy (1/2) sum_n [v_n^2 + mu_n^2 u_n^2] at grid index k."""
     if not 0 <= k <= sample.grid.steps:
         raise ValueError("step index out of range")
-    mu2 = prob.angular_freqs**2
-    return float(0.5 * np.sum(sample.v[k] ** 2 + mu2 * sample.u[k] ** 2))
+    return float(energy_block(prob, sample.u[k], sample.v[k]))
 
 
 def energy_block(prob: WaveProblem, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -112,13 +112,8 @@ def sample_increments_block(
     """
     if len(spectrum) != basis.n_modes:
         raise ValueError("spectrum and basis must share the number of modes")
-    out = np.empty((stop - start, grid.steps, basis.n_modes))
-    root_dt = np.sqrt(grid.dt)
-    for i in range(start, stop):
-        out[i - start] = stream.child(i).generator().standard_normal(
-            (grid.steps, basis.n_modes)
-        )
-    out *= root_dt
+    out = stream.block_normals(start, stop, (grid.steps, basis.n_modes))
+    out *= np.sqrt(grid.dt)
     return out
 
 

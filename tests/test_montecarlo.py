@@ -5,7 +5,6 @@ import pytest
 
 from spde_lab.montecarlo import (
     EnsembleStats,
-    PairStats,
     RandomStream,
     Report,
     compare,
@@ -50,33 +49,33 @@ def test_step_component_does_not_leak_across_samples():
     assert np.array_equal(before, after)
 
 
+@pytest.mark.parametrize("shape, empty_shape", [(5, (0, 5)), ((4, 3), (0, 4, 3))])
+def test_block_normals_match_per_sample_draws(shape, empty_shape):
+    stream = RandomStream(11)
+    block = stream.block_normals(3, 7, shape)
+    expected = np.stack([stream.child(i).generator().standard_normal(shape) for i in range(3, 7)])
+    assert np.array_equal(block, expected)
+    assert stream.block_normals(2, 2, shape).shape == empty_shape
+
+
 def test_gaussian_moments_fixed_seed():
     draws = RandomStream(2024).normals(1_000_000)
     assert abs(draws.mean()) < 0.004
     assert abs(draws.var(ddof=1) - 1.0) < 0.01
 
 
-def test_welford_hand_values():
-    stats = EnsembleStats()
-    for x in (1.0, 2.0, 3.0):
-        stats.push(x)
-    assert stats.count == 3
-    assert stats.mean == pytest.approx(2.0)
-    assert stats.variance == pytest.approx(1.0)
-
-
 def test_merge_matches_sequential_accumulation():
-    a = EnsembleStats().push(1.0).push(2.0)
-    b = EnsembleStats().push(3.0)
+    a = pairwise_stats([1.0, 2.0])
+    b = pairwise_stats([3.0])
     merged = a.merge(b)
-    full = EnsembleStats().push(1.0).push(2.0).push(3.0)
+    full = pairwise_stats([1.0, 2.0, 3.0])
     assert merged.count == 3
     assert merged.mean == pytest.approx(full.mean, abs=1e-14)
     assert merged.m2 == pytest.approx(full.m2, abs=1e-14)
 
 
 def test_merge_with_empty_is_identity():
-    a = EnsembleStats().push(1.5).push(-0.5)
+    a = pairwise_stats([1.5, -0.5])
     merged = a.merge(EnsembleStats())
     assert (merged.count, merged.mean, merged.m2) == (a.count, a.mean, a.m2)
     merged = EnsembleStats().merge(a)
@@ -108,26 +107,8 @@ def test_pairwise_stats_vector_payload():
     np.testing.assert_allclose(stats.variance, vals.var(axis=0, ddof=1), rtol=1e-10)
 
 
-def test_pair_stats_covariance():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(2000)
-    y = 0.5 * x + rng.standard_normal(2000)
-    ps = PairStats()
-    for xi, yi in zip(x, y):
-        ps.push(xi, yi)
-    assert ps.covariance == pytest.approx(np.cov(x, y, ddof=1)[0, 1], rel=1e-10)
-    half = len(x) // 2
-    a, b = PairStats(), PairStats()
-    for xi, yi in zip(x[:half], y[:half]):
-        a.push(xi, yi)
-    for xi, yi in zip(x[half:], y[half:]):
-        b.push(xi, yi)
-    merged = a.merge(b)
-    assert merged.covariance == pytest.approx(ps.covariance, rel=1e-12)
-
-
 def test_compare_exact_agreement():
-    stats = EnsembleStats().push(2.0).push(2.0).push(2.0)
+    stats = pairwise_stats([2.0, 2.0, 2.0])
     row = compare("label", 1.0, 2.0, stats)
     assert row.z == 0.0 and row.passed
 
@@ -145,9 +126,7 @@ def test_compare_one_sided_zero_stderr_below_bound_passes():
 
 
 def test_compare_one_sided_ignores_low_side():
-    stats = EnsembleStats()
-    for x in (0.0, 0.1, -0.1, 0.05):
-        stats.push(x)
+    stats = pairwise_stats([0.0, 0.1, -0.1, 0.05])
     row = compare("bound", 0.0, 5.0, stats, one_sided=True)
     assert row.passed and row.z < -3
 
