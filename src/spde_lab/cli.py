@@ -194,18 +194,22 @@ def _checkpoints(steps: int, count: int = 5) -> list[int]:
     return sorted({max(1, round(j * steps / count)) for j in range(1, count + 1)})
 
 
-def _block_size(grid: wiener.TimeGrid, n_modes: int) -> int:
-    """Samples per block, at most 128.
+# Bytes of random draws one block may hold.
+_BLOCK_BYTES = 64 << 20
 
-    The cap keeps one ``[batch, steps, n_modes]`` float64 array at or below
-    2^25 elements (256 MiB).  It bounds that one array, not a block's peak
-    memory: a wave block holds about eleven arrays of that size at its
-    peak, 1.44 GB at 64 modes and 2000 steps (ROADMAP item 2).  A pure
-    function of the configuration, so outputs stay byte-identical across
-    worker counts and reruns.
+
+def _block_size(bytes_per_sample: int) -> int:
+    """Samples per block: at most 128, holding at most ``_BLOCK_BYTES``
+    (64 MiB) of draws when one sample's draws cost ``bytes_per_sample``.
+
+    A sample whose draws alone exceed the budget gets a block of its own.
+    Beside its draws a wave block holds about twelve time-chunk arrays of
+    ``wave.CHUNK_BYTES`` (1 MiB) and about ten [steps, n_modes] tables, so
+    at 64 modes and 2000 steps (32 samples) it peaks below
+    1.5 x ``_BLOCK_BYTES`` = 96 MiB.  A pure function of the configuration,
+    so outputs stay byte-identical across worker counts and reruns.
     """
-    per_sample = max(1, grid.steps * n_modes)
-    return max(1, min(128, (1 << 25) // per_sample))
+    return max(1, min(128, _BLOCK_BYTES // bytes_per_sample))
 
 
 def _unit_or_zero(n_modes: int, mode: int) -> HilbertVector:
@@ -252,10 +256,19 @@ def _field_columns(u, basis_vals, means, pair_idx):
 
 
 def _wave_block(prob, grid, basis_vals, means, pair_idx, stream, start, stop):
-    """Per-sample wave summaries: :func:`_field_columns`, then energies."""
-    u, v = wave.simulate_block(prob, grid, stream, start, stop)
-    cols = _field_columns(u, basis_vals, means, pair_idx)
-    return np.concatenate(cols + [wave.energy_block(prob, u, v)], axis=1)
+    """Per-sample wave summaries: :func:`_field_columns`, then energies.
+
+    Only u at the checkpoints and the final step is kept; the kernel reads
+    it by position among the kept rows.
+    """
+    keep = sorted({*means, grid.steps})
+    pos = {k: j for j, k in enumerate(keep)}
+    u, energies = wave.summarize_block(prob, grid, stream, start, stop, keep)
+    cols = _field_columns(
+        u, basis_vals, {pos[k]: mean for k, mean in means.items()},
+        [(pos[k_t], pos[k_s]) for k_t, k_s in pair_idx],
+    )
+    return np.concatenate(cols + [energies], axis=1)
 
 
 def _heat_block(prob, grid, basis_vals, means, pair_idx, stream, start, stop):
@@ -326,7 +339,7 @@ def _run_wiener(cfg: dict) -> tuple[Report, dict]:
 
     fn = partial(_wiener_block, spec, basis, grid, vec_a, pairs, probes, stream.child(0))
     values = map_blocks(
-        fn, cfg["samples"], workers=cfg["workers"], block_size=_block_size(grid, n)
+        fn, cfg["samples"], workers=cfg["workers"], block_size=_block_size(8 * grid.steps * n)
     )
     stats = [pairwise_stats(values[:, j]) for j in range(values.shape[1])]
 
@@ -373,7 +386,7 @@ def _run_wave(cfg: dict) -> tuple[Report, dict]:
 
     fn = partial(_wave_block, prob, grid, basis_vals, means, pair_idx, stream.child(0))
     values = map_blocks(
-        fn, cfg["samples"], workers=cfg["workers"], block_size=_block_size(grid, n)
+        fn, cfg["samples"], workers=cfg["workers"], block_size=_block_size(16 * grid.steps * n)
     )
 
     t_final = grid.t_final
@@ -431,7 +444,7 @@ def _run_heat(cfg: dict) -> tuple[Report, dict]:
         fn,
         cfg["samples"],
         workers=cfg["workers"],
-        block_size=_block_size(grid, prob.n_modes),
+        block_size=_block_size(8 * grid.steps * prob.n_modes),
     )
 
     t_final = grid.t_final
@@ -503,13 +516,18 @@ def _run_lyapunov(cfg: dict) -> tuple[Report, dict]:
             stoch - det, 0.0, note="exact arithmetic identity",
         )
     )
+    # The least-squares slope of gamma times a Brownian path over a window
+    # W has variance (6/5) gamma^2 / W.
     window = cfg["t-final"] - cfg["t-burn"]
-    band = 3 * cfg["gamma"] / np.sqrt(window) if cfg["gamma"] != 0 else 1e-9
+    if cfg["gamma"] != 0:
+        band = 3 * np.sqrt(6 / 5) * abs(cfg["gamma"]) / np.sqrt(window)
+    else:
+        band = 1e-9
     report.add(
         comparison_row(
             "exponent_path_vs_formula", cfg["t-final"], stoch,
             estimate.slope, band / 3,
-            note="tolerance band 3*gamma/sqrt(t-final - t-burn)"
+            note="tolerance band 3*sqrt(6/5)*gamma/sqrt(t-final - t-burn)"
             if cfg["gamma"] != 0
             else "tolerance 1e-9 (deterministic path)",
         )

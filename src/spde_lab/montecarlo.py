@@ -71,7 +71,7 @@ def _broadcast_count(count: float, template: np.ndarray | float):
 
 @dataclass
 class EnsembleStats:
-    """Sample count, mean and sum of squared deviations, with a parallel merge.
+    """Sample count, mean and sum of squared deviations.
 
     :func:`pairwise_stats` builds them from per-sample values.  ``mean`` and
     ``m2`` may be scalars or arrays (elementwise statistics, e.g. one per
@@ -81,18 +81,6 @@ class EnsembleStats:
     count: int = 0
     mean: float | np.ndarray = 0.0
     m2: float | np.ndarray = 0.0
-
-    def merge(self, other: "EnsembleStats") -> "EnsembleStats":
-        """Combine two accumulators (Chan's parallel update); returns a new one."""
-        if other.count == 0:
-            return EnsembleStats(self.count, self.mean, self.m2)
-        if self.count == 0:
-            return EnsembleStats(other.count, other.mean, other.m2)
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * (other.count / n)
-        m2 = self.m2 + other.m2 + delta * delta * (self.count * other.count / n)
-        return EnsembleStats(n, mean, m2)
 
     @property
     def variance(self):

@@ -29,6 +29,9 @@ from .wiener import TimeGrid
 # Schur complements below this relative size collapse to a rank-1 factor.
 _CHOLESKY_PIVOT_TOL = 1e-14
 
+# Bytes of one [batch, rows, n_modes] array in a time chunk of summarize_block.
+CHUNK_BYTES = 1 << 20
+
 
 def modal_data(
     f: HilbertVector, g: HilbertVector, wave_speed: float, length: float
@@ -131,25 +134,52 @@ def _increment_cholesky(prob: WaveProblem, grid: TimeGrid):
     return l11, l21, l22
 
 
-def _trajectories(prob: WaveProblem, grid: TimeGrid, draws: np.ndarray):
-    """Evolve batched draws [batch, steps, N, 2] to (u, v, i_sin, i_cos)."""
-    l11, l21, l22 = _increment_cholesky(prob, grid)
-    d_sin = l11 * draws[..., 0]
-    d_cos = l21 * draws[..., 0] + l22 * draws[..., 1]
-    batch, steps, n = d_sin.shape
-    i_sin = np.zeros((batch, steps + 1, n))
-    i_cos = np.zeros((batch, steps + 1, n))
-    np.cumsum(d_sin, axis=1, out=i_sin[:, 1:])
-    np.cumsum(d_cos, axis=1, out=i_cos[:, 1:])
+def _chunks(prob: WaveProblem, grid: TimeGrid, draws: np.ndarray, rows: int):
+    """Evolve batched draws [batch, steps, N, 2] through the time grid.
 
+    Yields ``(r0, u, v, i_sin, i_cos)`` for consecutive runs of at most
+    ``rows`` grid rows starting at row ``r0``, so no array spans the whole
+    grid unless ``rows`` covers it.  A chunk continues the running
+    integrals of the one before by adding the carried integral into its
+    first increment before the cumulative sum: every addition happens in
+    the order of one cumulative sum over all steps, so the values do not
+    depend on ``rows``.
+    """
+    l11, l21, l22 = _increment_cholesky(prob, grid)
     mu = prob.angular_freqs
     gain = prob.epsilon * np.sqrt(prob.spectrum.eigenvalues) / mu
     phase = mu * grid.times[:, np.newaxis]
     cos_p, sin_p = np.cos(phase), np.sin(phase)
-    p = prob.cos_amps - gain * i_sin
-    q = prob.sin_amps + gain * i_cos
-    u = p * cos_p + q * sin_p
-    v = mu * (q * cos_p - p * sin_p)
+    batch, steps, n, _ = draws.shape
+    carry_sin = carry_cos = None
+    for r0 in range(0, steps + 1, rows):
+        r1 = min(r0 + rows, steps + 1)
+        # Row r (r >= 1) integrates increments 0..r-1; row 0 is zero.
+        a = max(r0, 1) - 1
+        z0, z1 = draws[:, a : r1 - 1, :, 0], draws[:, a : r1 - 1, :, 1]
+        d_sin = l11[a : r1 - 1] * z0
+        d_cos = l21[a : r1 - 1] * z0 + l22[a : r1 - 1] * z1
+        if a > 0:
+            d_sin[:, 0] += carry_sin
+            d_cos[:, 0] += carry_cos
+        first = 1 if r0 == 0 else 0
+        i_sin = np.zeros((batch, r1 - r0, n))
+        i_cos = np.zeros((batch, r1 - r0, n))
+        np.cumsum(d_sin, axis=1, out=i_sin[:, first:])
+        np.cumsum(d_cos, axis=1, out=i_cos[:, first:])
+        carry_sin, carry_cos = i_sin[:, -1], i_cos[:, -1]
+
+        c, s = cos_p[r0:r1], sin_p[r0:r1]
+        p = prob.cos_amps - gain * i_sin
+        q = prob.sin_amps + gain * i_cos
+        u = p * c + q * s
+        v = mu * (q * c - p * s)
+        yield r0, u, v, i_sin, i_cos
+
+
+def _trajectories(prob: WaveProblem, grid: TimeGrid, draws: np.ndarray):
+    """Evolve batched draws [batch, steps, N, 2] to (u, v, i_sin, i_cos)."""
+    _, u, v, i_sin, i_cos = next(_chunks(prob, grid, draws, grid.steps + 1))
     return u, v, i_sin, i_cos
 
 
@@ -171,6 +201,33 @@ def simulate_block(
     draws = stream.block_normals(start, stop, (grid.steps, prob.n_modes, 2))
     u, v, _, _ = _trajectories(prob, grid, draws)
     return u, v
+
+
+def summarize_block(
+    prob: WaveProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int, keep
+) -> tuple[np.ndarray, np.ndarray]:
+    """Displacement at the grid indices ``keep`` and the energy at every step.
+
+    Returns (u_keep, energies) of shapes [batch, len(keep), n_modes] and
+    [batch, steps+1], equal bit for bit to ``u[:, keep]`` and
+    ``energy_block(prob, u, v)`` of :func:`simulate_block`.  The time axis
+    is walked in chunks of about ``CHUNK_BYTES`` per array, so beside the
+    draws a block holds no array of the full [batch, steps+1, n_modes].
+    """
+    keep = np.asarray(keep, dtype=int)
+    if np.any((keep < 0) | (keep > grid.steps)):
+        raise ValueError("keep indices must lie in 0..steps")
+    draws = stream.block_normals(start, stop, (grid.steps, prob.n_modes, 2))
+    batch = stop - start
+    rows = max(1, CHUNK_BYTES // (8 * batch * prob.n_modes))
+    u_keep = np.empty((batch, keep.size, prob.n_modes))
+    energies = np.empty((batch, grid.steps + 1))
+    for r0, u, v, _, _ in _chunks(prob, grid, draws, rows):
+        r1 = r0 + u.shape[1]
+        energies[:, r0:r1] = energy_block(prob, u, v)
+        inside = (keep >= r0) & (keep < r1)
+        u_keep[:, inside] = u[:, keep[inside] - r0]
+    return u_keep, energies
 
 
 def mean_coefficients(prob: WaveProblem, t: float) -> HilbertVector:

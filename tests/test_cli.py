@@ -2,10 +2,16 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from spde_lab import cli, lyapunov, wave
 from spde_lab.cli import run
+from spde_lab.hilbert import CovarianceSpectrum, HilbertVector
+from spde_lab.montecarlo import RandomStream
+from spde_lab.wiener import TimeGrid
 
 HEAT_ARGS = [
     "heat", "--samples", "400", "--epsilon", "0.5", "--t-final", "0.2",
@@ -149,6 +155,28 @@ def test_lyapunov_example_row(tmp_path, capsys):
     assert (out / "series_lognorm.csv").exists()
 
 
+def test_lyapunov_stderr_matches_slope_spread_over_paths(tmp_path, capsys):
+    # The least-squares slope of gamma w over a window W has variance
+    # (6/5) gamma^2 / W; the row's stderr is its square root.
+    window = 10 - 1
+    for gamma in ("1", "-1"):
+        out = tmp_path / f"lyap{gamma}"
+        argv = ["lyapunov", "--gamma", gamma, "--t-final", "10", "--seed", "7"]
+        assert run(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        row = {r["label"]: r for r in _read_report(out)}["exponent_path_vs_formula"]
+        stderr = float(row["mc_stderr"])
+        assert stderr == pytest.approx(math.sqrt(1.2 / window), rel=1e-12)
+
+    prob = lyapunov.LyapunovProblem(0.0, 0.0, 1.0, np.array([1.0, 0.0, 0.0, 0.0]))
+    grid = TimeGrid(0.0, 10 / 2000, 2000)
+    slopes = [
+        lyapunov.estimate_from_path(prob, grid, RandomStream(11).child(k), 1.0).slope
+        for k in range(400)
+    ]
+    assert np.var(slopes, ddof=1) == pytest.approx(stderr**2, rel=0.15)
+
+
 def test_wiener_run_passes(tmp_path, capsys):
     out = tmp_path / "wiener"
     code = run(
@@ -206,3 +234,28 @@ def test_wave_diagnostic_energy_row_not_gating(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["checks"]["diagnostic_failed"] == len(energy_rows)
     assert summary["all-passed"] is True
+
+
+def test_wave_block_memory_within_stated_bound():
+    # The _block_size docstring: a 64-mode, 2000-step wave block peaks
+    # below 1.5 x _BLOCK_BYTES.
+    n, steps = 64, 2000
+    grid = TimeGrid(0.0, 0.001, steps)
+    prob = wave.WaveProblem.from_initial_conditions(
+        HilbertVector.unit(n, 1), HilbertVector(np.zeros(n)), wave_speed=1.0,
+        length=1.0, epsilon=1.0, spectrum=CovarianceSpectrum.parse("power:2", n),
+    )
+    means, pair_idx = cli._field_checks(grid, lambda t: wave.mean_coefficients(prob, t).coeffs)
+    basis_vals = prob.basis.evaluate(np.array([0.25, 0.5, 0.75]))
+    batch = cli._block_size(16 * steps * n)
+    assert batch == 32
+    tracemalloc.start()
+    try:
+        values = cli._wave_block(
+            prob, grid, basis_vals, means, pair_idx, RandomStream(3), 0, batch
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape[0] == batch
+    assert peak <= 1.5 * cli._BLOCK_BYTES

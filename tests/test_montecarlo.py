@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spde_lab.montecarlo import (
-    EnsembleStats,
     RandomStream,
     Report,
     compare,
@@ -62,24 +61,6 @@ def test_gaussian_moments_fixed_seed():
     draws = RandomStream(2024).normals(1_000_000)
     assert abs(draws.mean()) < 0.004
     assert abs(draws.var(ddof=1) - 1.0) < 0.01
-
-
-def test_merge_matches_sequential_accumulation():
-    a = pairwise_stats([1.0, 2.0])
-    b = pairwise_stats([3.0])
-    merged = a.merge(b)
-    full = pairwise_stats([1.0, 2.0, 3.0])
-    assert merged.count == 3
-    assert merged.mean == pytest.approx(full.mean, abs=1e-14)
-    assert merged.m2 == pytest.approx(full.m2, abs=1e-14)
-
-
-def test_merge_with_empty_is_identity():
-    a = pairwise_stats([1.5, -0.5])
-    merged = a.merge(EnsembleStats())
-    assert (merged.count, merged.mean, merged.m2) == (a.count, a.mean, a.m2)
-    merged = EnsembleStats().merge(a)
-    assert (merged.count, merged.mean, merged.m2) == (a.count, a.mean, a.m2)
 
 
 def test_large_sample_variance_regression():

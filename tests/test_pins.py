@@ -50,7 +50,7 @@ PINS = {
     "lyapunov": (
         ["lyapunov", "--t-final", "10"],
         {
-            "report.csv": "12176e9b75125e395eb2de9ed7f5e698e75c25c38c5f041df1f274c7c441867d",
+            "report.csv": "b62b6d586b4baba36971d4f79d5c95df436dec1c09884abca5d3c18b0d321c4b",
             "series_lognorm.csv": "bd12940ecf8cd2ec01e63f0bff5acc27580d7a6f77e47909cc01a58dcb2fa754",
         },
     ),

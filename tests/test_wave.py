@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from spde_lab import wave
 from spde_lab.hilbert import CovarianceSpectrum, HilbertVector
 from spde_lab.montecarlo import RandomStream, pairwise_stats
 from spde_lab.wave import (
@@ -19,6 +20,7 @@ from spde_lab.wave import (
     modal_data,
     sample_solution,
     simulate_block,
+    summarize_block,
     variance_closed_form,
 )
 from spde_lab.wiener import TimeGrid
@@ -114,6 +116,33 @@ def test_deterministic_energy_conserved():
     sample = sample_solution(prob, grid, RandomStream(3))
     energies = [energy(prob, sample, k) for k in range(grid.steps + 1)]
     np.testing.assert_allclose(energies, math.pi**2 / 2, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "steps, batch, rows",
+    [(10, 7, 3), (10, 1, 4), (10, 7, 1), (10, 7, 11), (1, 7, 1), (1, 1, 5)],
+)
+def test_summarize_block_matches_simulate_block(monkeypatch, steps, batch, rows):
+    # Chunks of `rows` grid rows; 11 rows of a 10-step grid split 3+3+3+2
+    # and 4+4+3, and rows=1 starts a chunk at every row.
+    n = 5
+    prob = _problem(n_modes=n, c=1.3, length=0.7, g=HilbertVector.unit(n, 2))
+    grid = TimeGrid(0.0, 0.03, steps)
+    monkeypatch.setattr(wave, "CHUNK_BYTES", 8 * batch * n * rows)
+    keep = sorted({0, steps // 2, steps})
+    stream = RandomStream(5)
+    u_keep, energies = summarize_block(prob, grid, stream, 3, 3 + batch, keep)
+    u, v = simulate_block(prob, grid, stream, 3, 3 + batch)
+    assert np.array_equal(u_keep, u[:, keep])
+    assert np.array_equal(energies, energy_block(prob, u, v))
+
+
+def test_summarize_block_rejects_keep_outside_grid():
+    prob = _problem(n_modes=3)
+    grid = TimeGrid(0.0, 0.1, 4)
+    for keep in ([5], [-1]):
+        with pytest.raises(ValueError):
+            summarize_block(prob, grid, RandomStream(1), 0, 2, keep)
 
 
 def test_mean_solution_substitution():
