@@ -263,7 +263,7 @@ def _wave_block(prob, grid, basis_vals, means, pair_idx, stream, start, stop):
     """
     keep = sorted({*means, grid.steps})
     pos = {k: j for j, k in enumerate(keep)}
-    u, energies = wave.summarize_block(prob, grid, stream, start, stop, keep)
+    u, energies = wave.simulate_block(prob, grid, stream, start, stop, keep)
     cols = _field_columns(
         u, basis_vals, {pos[k]: mean for k, mean in means.items()},
         [(pos[k_t], pos[k_s]) for k_t, k_s in pair_idx],

@@ -29,7 +29,7 @@ from .wiener import TimeGrid
 # Schur complements below this relative size collapse to a rank-1 factor.
 _CHOLESKY_PIVOT_TOL = 1e-14
 
-# Bytes of one [batch, rows, n_modes] array in a time chunk of summarize_block.
+# Bytes of one [batch, rows, n_modes] array in a time chunk of simulate_block.
 CHUNK_BYTES = 1 << 20
 
 
@@ -177,47 +177,36 @@ def _chunks(prob: WaveProblem, grid: TimeGrid, draws: np.ndarray, rows: int):
         yield r0, u, v, i_sin, i_cos
 
 
-def _trajectories(prob: WaveProblem, grid: TimeGrid, draws: np.ndarray):
-    """Evolve batched draws [batch, steps, N, 2] to (u, v, i_sin, i_cos)."""
-    _, u, v, i_sin, i_cos = next(_chunks(prob, grid, draws, grid.steps + 1))
-    return u, v, i_sin, i_cos
-
-
 def sample_solution(prob: WaveProblem, grid: TimeGrid, stream: RandomStream) -> WaveSample:
     """Draw one solution path, exact in distribution at the grid points."""
     draws = stream.normals((grid.steps, prob.n_modes, 2))[np.newaxis]
-    u, v, i_sin, i_cos = _trajectories(prob, grid, draws)
+    _, u, v, i_sin, i_cos = next(_chunks(prob, grid, draws, grid.steps + 1))
     return WaveSample(grid, u[0], v[0], i_sin[0], i_cos[0])
 
 
 def simulate_block(
-    prob: WaveProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int
+    prob: WaveProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int, keep=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Displacement and velocity for samples [start, stop).
+    """Trajectories, or their summaries, for samples [start, stop).
 
-    Returns (u, v) of shape [batch, steps+1, n_modes]; sample i draws from
-    ``stream.child(i)`` exactly like :func:`sample_solution`.
-    """
-    draws = stream.block_normals(start, stop, (grid.steps, prob.n_modes, 2))
-    u, v, _, _ = _trajectories(prob, grid, draws)
-    return u, v
-
-
-def summarize_block(
-    prob: WaveProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int, keep
-) -> tuple[np.ndarray, np.ndarray]:
-    """Displacement at the grid indices ``keep`` and the energy at every step.
-
-    Returns (u_keep, energies) of shapes [batch, len(keep), n_modes] and
+    Sample i draws from ``stream.child(i)`` exactly like
+    :func:`sample_solution`.  Without ``keep``, returns (u, v) of shape
+    [batch, steps+1, n_modes].  With grid indices ``keep``, returns
+    (u_keep, energies) of shapes [batch, len(keep), n_modes] and
     [batch, steps+1], equal bit for bit to ``u[:, keep]`` and
-    ``energy_block(prob, u, v)`` of :func:`simulate_block`.  The time axis
-    is walked in chunks of about ``CHUNK_BYTES`` per array, so beside the
-    draws a block holds no array of the full [batch, steps+1, n_modes].
+    ``energy_block(prob, u, v)``; the time axis is then walked in chunks of
+    about ``CHUNK_BYTES`` per array, so beside the draws the block holds no
+    array of the full [batch, steps+1, n_modes].
     """
+    shape = (grid.steps, prob.n_modes, 2)
+    if keep is None:
+        draws = stream.block_normals(start, stop, shape)
+        _, u, v, _, _ = next(_chunks(prob, grid, draws, grid.steps + 1))
+        return u, v
     keep = np.asarray(keep, dtype=int)
     if np.any((keep < 0) | (keep > grid.steps)):
         raise ValueError("keep indices must lie in 0..steps")
-    draws = stream.block_normals(start, stop, (grid.steps, prob.n_modes, 2))
+    draws = stream.block_normals(start, stop, shape)
     batch = stop - start
     rows = max(1, CHUNK_BYTES // (8 * batch * prob.n_modes))
     u_keep = np.empty((batch, keep.size, prob.n_modes))

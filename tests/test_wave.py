@@ -20,7 +20,6 @@ from spde_lab.wave import (
     modal_data,
     sample_solution,
     simulate_block,
-    summarize_block,
     variance_closed_form,
 )
 from spde_lab.wiener import TimeGrid
@@ -122,7 +121,7 @@ def test_deterministic_energy_conserved():
     "steps, batch, rows",
     [(10, 7, 3), (10, 1, 4), (10, 7, 1), (10, 7, 11), (1, 7, 1), (1, 1, 5)],
 )
-def test_summarize_block_matches_simulate_block(monkeypatch, steps, batch, rows):
+def test_simulate_block_keep_matches_full_trajectories(monkeypatch, steps, batch, rows):
     # Chunks of `rows` grid rows; 11 rows of a 10-step grid split 3+3+3+2
     # and 4+4+3, and rows=1 starts a chunk at every row.
     n = 5
@@ -131,18 +130,18 @@ def test_summarize_block_matches_simulate_block(monkeypatch, steps, batch, rows)
     monkeypatch.setattr(wave, "CHUNK_BYTES", 8 * batch * n * rows)
     keep = sorted({0, steps // 2, steps})
     stream = RandomStream(5)
-    u_keep, energies = summarize_block(prob, grid, stream, 3, 3 + batch, keep)
+    u_keep, energies = simulate_block(prob, grid, stream, 3, 3 + batch, keep)
     u, v = simulate_block(prob, grid, stream, 3, 3 + batch)
     assert np.array_equal(u_keep, u[:, keep])
     assert np.array_equal(energies, energy_block(prob, u, v))
 
 
-def test_summarize_block_rejects_keep_outside_grid():
+def test_simulate_block_rejects_keep_outside_grid():
     prob = _problem(n_modes=3)
     grid = TimeGrid(0.0, 0.1, 4)
     for keep in ([5], [-1]):
         with pytest.raises(ValueError):
-            summarize_block(prob, grid, RandomStream(1), 0, 2, keep)
+            simulate_block(prob, grid, RandomStream(1), 0, 2, keep)
 
 
 def test_mean_solution_substitution():
