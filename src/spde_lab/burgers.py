@@ -21,13 +21,14 @@ constant of the interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .hilbert import CovarianceSpectrum, DirichletBasis
-from .montecarlo import EnsembleStats, RandomStream, map_blocks, pairwise_stats
+from .montecarlo import CHUNK_BYTES, EnsembleStats, RandomStream, map_blocks, pairwise_stats
 from .wiener import TimeGrid
 
 # Abort a sample once ||u||^2 exceeds this multiple of its natural scale.
@@ -217,21 +218,21 @@ def step(
     return out
 
 
-def _draw_shape(prob: BurgersProblem, grid: TimeGrid):
+def _draw_shape(prob: BurgersProblem, grid: TimeGrid) -> tuple:
     """Per-sample draws: [steps, N] for additive noise, [steps] otherwise."""
     if isinstance(prob.noise, AdditiveNoise):
         return (grid.steps, prob.n_modes)
-    return grid.steps
+    return (grid.steps,)
 
 
-def _evolve_block(prob: BurgersProblem, grid: TimeGrid, draws: np.ndarray):
-    """Energy traces for one batch of standard normals, [B, *_draw_shape].
+def _evolve_block(prob: BurgersProblem, grid: TimeGrid, batch: int, draw_chunks):
+    """Energy traces of ``batch`` samples driven by standard normals.
 
-    Returns (e2 [B, steps+1], diverged_step [B], int, -1 when clean).
-    Diverged samples are frozen and their remaining energies set to NaN;
-    they never contaminate other rows.
+    ``draw_chunks`` yields consecutive time slices [batch, r, ...] of the
+    draws [batch, *_draw_shape].  Returns (e2 [B, steps+1], diverged_step
+    [B], int, -1 when clean).  Diverged samples are frozen and their
+    remaining energies set to NaN; they never contaminate other rows.
     """
-    batch = draws.shape[0]
     coeffs = np.tile(prob.init_coeffs, (batch, 1))
     e2 = np.empty((batch, grid.steps + 1))
     e2[:, 0] = np.sum(coeffs**2, axis=1)
@@ -242,9 +243,10 @@ def _evolve_block(prob: BurgersProblem, grid: TimeGrid, draws: np.ndarray):
     if grid.dt > limit:
         raise StepSizeError(f"dt={grid.dt} exceeds the advective CFL limit {limit:.3e}")
 
+    step_draws = (z[:, j] for z in draw_chunks for j in range(z.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.steps):
-            coeffs = _apply_step(prob, coeffs, grid.dt, draws[:, k])
+        for k, draws in enumerate(step_draws):
+            coeffs = _apply_step(prob, coeffs, grid.dt, draws)
             energy = np.sum(coeffs**2, axis=1)
             bad = (~np.isfinite(energy)) | (energy > threshold)
             newly = bad & (diverged < 0)
@@ -263,7 +265,7 @@ def sample_energy_trace(
 ) -> EnergyTrace:
     """Energy trace of a single trajectory driven by the given stream."""
     draws = stream.normals(_draw_shape(prob, grid))[np.newaxis]
-    e2, diverged = _evolve_block(prob, grid, draws)
+    e2, diverged = _evolve_block(prob, grid, 1, [draws])
     at = int(diverged[0]) if diverged[0] >= 0 else None
     return EnergyTrace(grid, e2[0], at)
 
@@ -271,9 +273,14 @@ def sample_energy_trace(
 def trace_block(
     prob: BurgersProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Energy traces for samples [start, stop), keyed by sample index."""
-    draws = stream.block_normals(start, stop, _draw_shape(prob, grid))
-    return _evolve_block(prob, grid, draws)
+    """Energy traces for samples [start, stop), keyed by sample index.
+
+    The draws arrive in time slices of about ``CHUNK_BYTES``, so the block
+    never holds all of them at once.
+    """
+    shape = _draw_shape(prob, grid)
+    rows = max(1, CHUNK_BYTES // (8 * (stop - start) * math.prod(shape[1:])))
+    return _evolve_block(prob, grid, stop - start, stream.block_chunks(start, stop, shape, rows))
 
 
 def simulate_energy_ensemble(

@@ -199,15 +199,17 @@ _BLOCK_BYTES = 64 << 20
 
 
 def _block_size(bytes_per_sample: int) -> int:
-    """Samples per block: at most 128, holding at most ``_BLOCK_BYTES``
-    (64 MiB) of draws when one sample's draws cost ``bytes_per_sample``.
+    """Samples per block: at most 128, and at most ``_BLOCK_BYTES`` (64 MiB)
+    of draws when one sample's whole-path draws cost ``bytes_per_sample``.
 
     A sample whose draws alone exceed the budget gets a block of its own.
-    Beside its draws a wave block holds about twelve time-chunk arrays of
-    ``wave.CHUNK_BYTES`` (1 MiB) and about ten [steps, n_modes] tables, so
-    at 64 modes and 2000 steps (32 samples) it peaks below
-    1.5 x ``_BLOCK_BYTES`` = 96 MiB.  A pure function of the configuration,
-    so outputs stay byte-identical across worker counts and reruns.
+    Heat and wiener blocks hold all their draws, so the budget bounds them.
+    A wave block draws one time slice at a time: it holds a draw slice of
+    about 2 x ``montecarlo.CHUNK_BYTES`` (1 MiB), about twelve slice arrays of
+    ``CHUNK_BYTES`` and about ten [steps, n_modes] tables, so at 64 modes
+    and 2000 steps (32 samples) it peaks below 3/8 x ``_BLOCK_BYTES`` =
+    24 MiB.  A pure function of the configuration, so outputs stay
+    byte-identical across worker counts and reruns.
     """
     return max(1, min(128, _BLOCK_BYTES // bytes_per_sample))
 

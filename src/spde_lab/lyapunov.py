@@ -120,9 +120,11 @@ def estimate_from_path(
     """Least-squares slope of log ||v(t)|| over [t_burn, t_final].
 
     ``t_burn`` defaults to one tenth of the final time, suppressing the
-    transient from subdominant modes.  The reported stderr is the usual
-    residual-based slope error, a diagnostic of how line-like the fitted
-    window is.
+    transient from subdominant modes.  The noise enters log ||v|| as
+    gamma w_t, and the least-squares slope of a Brownian path over a
+    window of length W has variance (6/5) / W, so the reported stderr is
+    sqrt(6/5) |gamma| / sqrt(W), with W the span of the fitted grid times
+    (0 for a noiseless path).
     """
     if t_burn is None:
         t_burn = 0.1 * grid.t_final
@@ -135,10 +137,6 @@ def estimate_from_path(
     if t.size < 3:
         raise ValueError("window must contain at least three grid points")
     t_centered = t - t.mean()
-    sxx = np.sum(t_centered**2)
-    slope = np.sum(t_centered * y) / sxx
-    residuals = y - y.mean() - slope * t_centered
-    sigma2 = np.sum(residuals**2) / (t.size - 2)
-    return ExponentEstimate(
-        float(slope), float(np.sqrt(sigma2 / sxx)), (float(t_burn), float(grid.t_final))
-    )
+    slope = np.sum(t_centered * y) / np.sum(t_centered**2)
+    stderr = np.sqrt(6 / 5) * abs(prob.gamma) / np.sqrt(t[-1] - t[0])
+    return ExponentEstimate(float(slope), float(stderr), (float(t_burn), float(grid.t_final)))

@@ -13,12 +13,17 @@ import csv
 import json
 import math
 import time
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 Z_THRESHOLD = 3.0
+
+# Bytes of one time slice of a block ([batch, rows, n_modes] float64) and of
+# one column group of pairwise_stats: bounded by this, not by the ensemble.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -48,25 +53,33 @@ class RandomStream:
         """``n`` independent standard-normal draws, deterministic per key."""
         return self.generator().standard_normal(n)
 
+    def block_chunks(self, start: int, stop: int, shape, rows: int):
+        """Draws of samples [start, stop) in time slices of ``rows`` rows.
+
+        ``shape`` is one sample's draw shape, time axis first.  Yields
+        arrays ``[stop - start, r, *shape[1:]]`` with r = ``rows`` (fewer in
+        the last slice); concatenated along axis 1 they equal
+        :meth:`block_normals` bit for bit, because each sample's generator
+        continues its stream from one slice to the next.  This is the one
+        place where ensembles key samples to substreams.
+        """
+        steps, *rest = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+        gens = [self.child(i).generator() for i in range(start, stop)]
+        for r0 in range(0, max(steps, 1), rows):
+            out = np.empty((stop - start, min(rows, steps - r0), *rest))
+            for gen, row in zip(gens, out):
+                gen.standard_normal(out=row)
+            yield out
+
     def block_normals(self, start: int, stop: int, shape) -> np.ndarray:
         """Draws of shape ``[stop - start, *shape]`` for samples [start, stop).
 
         Row ``i - start`` holds what ``child(i).normals(shape)`` returns, so
-        a sample's draws do not depend on the block it falls in.  This is
-        the one place where ensembles key samples to substreams.
+        a sample's draws do not depend on the block it falls in.  The
+        one-slice case of :meth:`block_chunks`.
         """
-        sample_shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
-        out = np.empty((stop - start, *sample_shape))
-        for i in range(start, stop):
-            self.child(i).generator().standard_normal(out=out[i - start])
-        return out
-
-
-def _broadcast_count(count: float, template: np.ndarray | float):
-    """Reshape a per-chunk count vector so it broadcasts against payloads."""
-    if np.ndim(template) <= 1:
-        return count
-    return np.reshape(count, np.shape(count) + (1,) * (np.ndim(template) - 1))
+        steps = shape if np.ndim(shape) == 0 else shape[0]
+        return next(self.block_chunks(start, stop, shape, max(steps, 1)))
 
 
 @dataclass
@@ -93,39 +106,50 @@ class EnsembleStats:
         return np.sqrt(self.variance / self.count)
 
 
+def _merge_tree(vals: np.ndarray):
+    """Pairwise merge of per-sample values [g, n] into (mean [g], m2 [g])."""
+    count = np.ones(vals.shape[-1])
+    mean = vals.copy()
+    m2 = np.zeros_like(mean)
+    while mean.shape[-1] > 1:
+        k = mean.shape[-1] // 2
+        na, nb = count[0 : 2 * k : 2], count[1 : 2 * k : 2]
+        ma, mb = mean[:, 0 : 2 * k : 2], mean[:, 1 : 2 * k : 2]
+        sa, sb = m2[:, 0 : 2 * k : 2], m2[:, 1 : 2 * k : 2]
+        n = na + nb
+        delta = mb - ma
+        merged_mean = ma + delta * (nb / n)
+        merged_m2 = sa + sb + delta * delta * (na * nb / n)
+        if mean.shape[-1] % 2:
+            count = np.concatenate([n, count[-1:]])
+            mean = np.concatenate([merged_mean, mean[:, -1:]], axis=1)
+            m2 = np.concatenate([merged_m2, m2[:, -1:]], axis=1)
+        else:
+            count, mean, m2 = n, merged_mean, merged_m2
+    return mean[:, 0], m2[:, 0]
+
+
 def pairwise_stats(values: np.ndarray) -> EnsembleStats:
     """Reduce per-sample values (axis 0) with the canonical pairwise merge.
 
     The merge tree depends only on the number of samples, so the result is
     bit-identical however the samples were computed.  Values may have extra
-    trailing axes; statistics are elementwise over them.
+    trailing axes; statistics are elementwise over them.  The tree runs
+    along the sample axis only, so the trailing columns are reduced in
+    groups of about ``CHUNK_BYTES`` and no copy of the whole input is made.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.shape[0] == 0:
+    n = vals.shape[0]
+    if n == 0:
         return EnsembleStats()
-    count = np.ones(vals.shape[0])
-    mean = vals.copy()
-    m2 = np.zeros_like(vals)
-    while mean.shape[0] > 1:
-        k = mean.shape[0] // 2
-        na, nb = count[0 : 2 * k : 2], count[1 : 2 * k : 2]
-        ma, mb = mean[0 : 2 * k : 2], mean[1 : 2 * k : 2]
-        sa, sb = m2[0 : 2 * k : 2], m2[1 : 2 * k : 2]
-        n = na + nb
-        w = _broadcast_count(nb / n, ma)
-        prod = _broadcast_count(na * nb / n, ma)
-        delta = mb - ma
-        merged_mean = ma + delta * w
-        merged_m2 = sa + sb + delta * delta * prod
-        if mean.shape[0] % 2:
-            count = np.concatenate([n, count[-1:]])
-            mean = np.concatenate([merged_mean, mean[-1:]])
-            m2 = np.concatenate([merged_m2, m2[-1:]])
-        else:
-            count, mean, m2 = n, merged_mean, merged_m2
-    payload_mean = mean[0] if mean[0].ndim else float(mean[0])
-    payload_m2 = m2[0] if m2[0].ndim else float(m2[0])
-    return EnsembleStats(int(count[0]), payload_mean, payload_m2)
+    cols = vals.reshape(n, -1)
+    mean, m2 = np.empty(cols.shape[1]), np.empty(cols.shape[1])
+    group = max(1, CHUNK_BYTES // (8 * n))
+    for c0 in range(0, cols.shape[1], group):
+        mean[c0 : c0 + group], m2[c0 : c0 + group] = _merge_tree(cols[:, c0 : c0 + group].T)
+    if vals.ndim == 1:
+        return EnsembleStats(n, float(mean[0]), float(m2[0]))
+    return EnsembleStats(n, mean.reshape(vals.shape[1:]), m2.reshape(vals.shape[1:]))
 
 
 @dataclass(frozen=True)
@@ -303,19 +327,22 @@ def map_blocks(fn, n_samples: int, *, workers: int = 1, block_size: int = 128):
 
     Blocks are consecutive index ranges of fixed size; the layout depends
     only on ``n_samples`` and ``block_size``, never on ``workers``, so the
-    concatenated output is identical for any worker count.  ``fn`` must be
+    assembled output is identical for any worker count.  ``fn`` must be
     picklable when ``workers > 1`` and may return one array or a tuple of
-    arrays (each with the sample axis first).
+    arrays (each with the sample axis first).  Each block's output is
+    written into preallocated ``[n_samples, ...]`` arrays as it arrives.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    starts = list(range(0, n_samples, block_size))
+    starts = range(0, n_samples, block_size)
     stops = [min(s + block_size, n_samples) for s in starts]
-    if workers <= 1:
-        parts = [fn(a, b) for a, b in zip(starts, stops)]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fn, starts, stops))
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(piece, axis=0) for piece in zip(*parts))
-    return np.concatenate(parts, axis=0)
+    out = None
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        parts = (pool.map if pool else map)(fn, starts, stops)
+        for a, b, part in zip(starts, stops, parts):
+            pieces = part if isinstance(part, tuple) else (part,)
+            if out is None:
+                out = tuple(np.empty((n_samples, *p.shape[1:]), p.dtype) for p in pieces)
+            for dest, piece in zip(out, pieces):
+                dest[a:b] = piece
+    return out if isinstance(part, tuple) else out[0]

@@ -23,14 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector
-from .montecarlo import RandomStream
+from .montecarlo import CHUNK_BYTES, RandomStream
 from .wiener import TimeGrid
 
 # Schur complements below this relative size collapse to a rank-1 factor.
 _CHOLESKY_PIVOT_TOL = 1e-14
-
-# Bytes of one [batch, rows, n_modes] array in a time chunk of simulate_block.
-CHUNK_BYTES = 1 << 20
 
 
 def modal_data(
@@ -134,53 +131,54 @@ def _increment_cholesky(prob: WaveProblem, grid: TimeGrid):
     return l11, l21, l22
 
 
-def _chunks(prob: WaveProblem, grid: TimeGrid, draws: np.ndarray, rows: int):
-    """Evolve batched draws [batch, steps, N, 2] through the time grid.
+def _chunks(prob: WaveProblem, grid: TimeGrid, draw_chunks):
+    """Evolve batched draws through the time grid, one time slice at a time.
 
-    Yields ``(r0, u, v, i_sin, i_cos)`` for consecutive runs of at most
-    ``rows`` grid rows starting at row ``r0``, so no array spans the whole
-    grid unless ``rows`` covers it.  A chunk continues the running
-    integrals of the one before by adding the carried integral into its
-    first increment before the cumulative sum: every addition happens in
-    the order of one cumulative sum over all steps, so the values do not
-    depend on ``rows``.
+    ``draw_chunks`` yields consecutive slices [batch, r, N, 2] of the
+    per-step draws.  Yields ``(r0, u, v, i_sin, i_cos)`` for the grid rows
+    from ``r0`` up to the last one a slice completes (the first slice also
+    carries row 0), so no array spans the whole grid unless one slice
+    covers it.  A slice continues the running integrals of the one before
+    by adding the carried integral into its first increment before the
+    cumulative sum: every addition happens in the order of one cumulative
+    sum over all steps, so the values do not depend on the slicing.
     """
     l11, l21, l22 = _increment_cholesky(prob, grid)
     mu = prob.angular_freqs
     gain = prob.epsilon * np.sqrt(prob.spectrum.eigenvalues) / mu
     phase = mu * grid.times[:, np.newaxis]
     cos_p, sin_p = np.cos(phase), np.sin(phase)
-    batch, steps, n, _ = draws.shape
-    carry_sin = carry_cos = None
-    for r0 in range(0, steps + 1, rows):
-        r1 = min(r0 + rows, steps + 1)
-        # Row r (r >= 1) integrates increments 0..r-1; row 0 is zero.
-        a = max(r0, 1) - 1
-        z0, z1 = draws[:, a : r1 - 1, :, 0], draws[:, a : r1 - 1, :, 1]
-        d_sin = l11[a : r1 - 1] * z0
-        d_cos = l21[a : r1 - 1] * z0 + l22[a : r1 - 1] * z1
+    a = 0
+    for z in draw_chunks:
+        # Increments a..b-1 complete grid rows a+1..b; row 0 is zero.
+        batch, r, n, _ = z.shape
+        b = a + r
+        d_sin = l11[a:b] * z[..., 0]
+        d_cos = l21[a:b] * z[..., 0] + l22[a:b] * z[..., 1]
         if a > 0:
             d_sin[:, 0] += carry_sin
             d_cos[:, 0] += carry_cos
-        first = 1 if r0 == 0 else 0
-        i_sin = np.zeros((batch, r1 - r0, n))
-        i_cos = np.zeros((batch, r1 - r0, n))
-        np.cumsum(d_sin, axis=1, out=i_sin[:, first:])
-        np.cumsum(d_cos, axis=1, out=i_cos[:, first:])
+        lead = 1 if a == 0 else 0
+        i_sin = np.zeros((batch, lead + r, n))
+        i_cos = np.zeros((batch, lead + r, n))
+        np.cumsum(d_sin, axis=1, out=i_sin[:, lead:])
+        np.cumsum(d_cos, axis=1, out=i_cos[:, lead:])
         carry_sin, carry_cos = i_sin[:, -1], i_cos[:, -1]
 
-        c, s = cos_p[r0:r1], sin_p[r0:r1]
+        r0 = a + 1 - lead
+        c, s = cos_p[r0 : b + 1], sin_p[r0 : b + 1]
         p = prob.cos_amps - gain * i_sin
         q = prob.sin_amps + gain * i_cos
         u = p * c + q * s
         v = mu * (q * c - p * s)
         yield r0, u, v, i_sin, i_cos
+        a = b
 
 
 def sample_solution(prob: WaveProblem, grid: TimeGrid, stream: RandomStream) -> WaveSample:
     """Draw one solution path, exact in distribution at the grid points."""
     draws = stream.normals((grid.steps, prob.n_modes, 2))[np.newaxis]
-    _, u, v, i_sin, i_cos = next(_chunks(prob, grid, draws, grid.steps + 1))
+    _, u, v, i_sin, i_cos = next(_chunks(prob, grid, [draws]))
     return WaveSample(grid, u[0], v[0], i_sin[0], i_cos[0])
 
 
@@ -194,24 +192,23 @@ def simulate_block(
     [batch, steps+1, n_modes].  With grid indices ``keep``, returns
     (u_keep, energies) of shapes [batch, len(keep), n_modes] and
     [batch, steps+1], equal bit for bit to ``u[:, keep]`` and
-    ``energy_block(prob, u, v)``; the time axis is then walked in chunks of
-    about ``CHUNK_BYTES`` per array, so beside the draws the block holds no
-    array of the full [batch, steps+1, n_modes].
+    ``energy_block(prob, u, v)``; the draws and the time axis are then
+    walked in slices of about ``CHUNK_BYTES`` per [batch, rows, n_modes]
+    array, so the block holds no [batch, steps, n_modes] array.
     """
     shape = (grid.steps, prob.n_modes, 2)
     if keep is None:
         draws = stream.block_normals(start, stop, shape)
-        _, u, v, _, _ = next(_chunks(prob, grid, draws, grid.steps + 1))
+        _, u, v, _, _ = next(_chunks(prob, grid, [draws]))
         return u, v
     keep = np.asarray(keep, dtype=int)
     if np.any((keep < 0) | (keep > grid.steps)):
         raise ValueError("keep indices must lie in 0..steps")
-    draws = stream.block_normals(start, stop, shape)
     batch = stop - start
     rows = max(1, CHUNK_BYTES // (8 * batch * prob.n_modes))
     u_keep = np.empty((batch, keep.size, prob.n_modes))
     energies = np.empty((batch, grid.steps + 1))
-    for r0, u, v, _, _ in _chunks(prob, grid, draws, rows):
+    for r0, u, v, _, _ in _chunks(prob, grid, stream.block_chunks(start, stop, shape, rows)):
         r1 = r0 + u.shape[1]
         energies[:, r0:r1] = energy_block(prob, u, v)
         inside = (keep >= r0) & (keep < r1)

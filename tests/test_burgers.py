@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spde_lab import burgers
 from spde_lab.burgers import (
     AdditiveNoise,
     BurgersProblem,
@@ -272,3 +274,36 @@ def test_trace_matches_single_sample():
     block, _ = trace_block(prob, grid, RandomStream(13), 0, 3)
     single = sample_energy_trace(prob, grid, RandomStream(13).child(1))
     np.testing.assert_allclose(block[1], single.e2, rtol=1e-12, atol=1e-16)
+
+
+@pytest.mark.parametrize("make", [_additive, _multiplicative])
+def test_trace_block_independent_of_chunk_rows(monkeypatch, make):
+    # Draws arrive one step at a time, then as one slice of all steps.
+    prob = make()
+    grid = TimeGrid(0, 1e-3, 40)
+    batch = 5
+    per_step = N if isinstance(prob.noise, AdditiveNoise) else 1
+    runs = []
+    for chunk_bytes in (1, 8 * batch * per_step * grid.steps):
+        monkeypatch.setattr(burgers, "CHUNK_BYTES", chunk_bytes)
+        runs.append(trace_block(prob, grid, RandomStream(14), 3, 3 + batch))
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert np.array_equal(runs[0][1], runs[1][1])
+
+
+def test_trace_block_memory_below_its_draws():
+    # 128 samples x 64 modes x 500 steps: the whole-block draws are 31 MiB,
+    # but only one time slice of them is held at a time.
+    n, batch, steps = 64, 128, 500
+    prob = BurgersProblem(
+        0.05, 1.0, 1.0, AdditiveNoise(CovarianceSpectrum.parse("finite:1", n)),
+        HilbertVector.unit(n, 1, 0.5).coeffs,
+    )
+    tracemalloc.start()
+    try:
+        e2, _ = trace_block(prob, TimeGrid(0, 1e-3, steps), RandomStream(15), 0, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e2.shape == (batch, steps + 1)
+    assert peak < 0.25 * (8 * batch * steps * n)

@@ -238,7 +238,7 @@ def test_wave_diagnostic_energy_row_not_gating(tmp_path, capsys):
 
 def test_wave_block_memory_within_stated_bound():
     # The _block_size docstring: a 64-mode, 2000-step wave block peaks
-    # below 1.5 x _BLOCK_BYTES.
+    # below 3/8 x _BLOCK_BYTES.
     n, steps = 64, 2000
     grid = TimeGrid(0.0, 0.001, steps)
     prob = wave.WaveProblem.from_initial_conditions(
@@ -258,4 +258,4 @@ def test_wave_block_memory_within_stated_bound():
     finally:
         tracemalloc.stop()
     assert values.shape[0] == batch
-    assert peak <= 1.5 * cli._BLOCK_BYTES
+    assert peak <= 3 / 8 * cli._BLOCK_BYTES

@@ -100,6 +100,7 @@ def test_deterministic_path_estimate_exact(alpha, coeffs):
     prob = _prob(alpha=alpha, beta=alpha, coeffs=coeffs)
     est = estimate_from_path(prob, TimeGrid(0, 0.01, 1000), RandomStream(1))
     assert abs(est.slope - exponent_deterministic(prob)) < 1e-9
+    assert est.stderr == 0.0
 
 
 def test_stochastic_path_estimate_within_band():
@@ -111,6 +112,22 @@ def test_stochastic_path_estimate_within_band():
     ]
     band = 3 * 1.0 / math.sqrt(0.9 * 100)
     assert abs(np.median(slopes) - (-PI2 - 0.5)) <= band
+
+
+@pytest.mark.parametrize("gamma", [1.0, -1.0])
+def test_stderr_matches_slope_spread_over_paths(gamma):
+    # The least-squares slope of gamma w over a window W = 9 has standard
+    # deviation sqrt(6/5) |gamma| / sqrt(W); a residual-based stderr reads
+    # about 55x less.
+    prob = _prob(gamma=gamma)
+    grid = TimeGrid(0.0, 10 / 2000, 2000)
+    estimates = [
+        estimate_from_path(prob, grid, RandomStream(12).child(k), 1.0) for k in range(400)
+    ]
+    stderr = estimates[0].stderr
+    assert stderr == pytest.approx(math.sqrt(1.2 / 9), rel=1e-12)
+    assert all(est.stderr == stderr for est in estimates)
+    assert np.std([est.slope for est in estimates], ddof=1) == pytest.approx(stderr, rel=0.15)
 
 
 def test_estimates_agree_across_stream_keys():

@@ -1,8 +1,13 @@
+import ast
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spde_lab
 from spde_lab.montecarlo import (
     RandomStream,
     Report,
@@ -55,6 +60,42 @@ def test_block_normals_match_per_sample_draws(shape, empty_shape):
     expected = np.stack([stream.child(i).generator().standard_normal(shape) for i in range(3, 7)])
     assert np.array_equal(block, expected)
     assert stream.block_normals(2, 2, shape).shape == empty_shape
+
+
+@pytest.mark.parametrize("rows", [1, 3, 9, 14])
+@pytest.mark.parametrize("shape", [(9, 4, 2), (9, 4), (9,)])
+def test_block_chunks_concatenate_to_block_normals(shape, rows):
+    # The wave, additive Burgers and multiplicative Burgers draw shapes of a
+    # 9-step grid, in slices of 1, 3, all and more than all steps.
+    stream = RandomStream(13)
+    chunks = list(stream.block_chunks(5, 9, shape, rows))
+    assert [c.shape[1] for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+    assert np.array_equal(np.concatenate(chunks, axis=1), stream.block_normals(5, 9, shape))
+
+
+def _loop_child_calls(tree) -> set:
+    """Lines of ``.child(`` calls made inside a loop or comprehension."""
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    return {
+        node.lineno
+        for loop in ast.walk(tree) if isinstance(loop, loops)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "child"
+    }
+
+
+def test_samples_are_keyed_only_in_montecarlo():
+    # One helper keys ensemble samples to substreams; a per-sample loop over
+    # child(i) elsewhere would be a second keying path.
+    modules = sorted(Path(spde_lab.__file__).parent.glob("*.py"))
+    assert any(path.name == "montecarlo.py" for path in modules)
+    for path in modules:
+        if path.name == "montecarlo.py":
+            continue
+        text = path.read_text()
+        assert not re.search(r"range\(\s*start\s*,\s*stop\s*\)", text), path.name
+        assert not _loop_child_calls(ast.parse(text)), path.name
 
 
 def test_gaussian_moments_fixed_seed():
@@ -141,11 +182,42 @@ def _block_identity(start, stop):
     return np.arange(start, stop, dtype=float)[:, np.newaxis] ** 2
 
 
+def test_pairwise_stats_reduces_columns_without_copying_the_input():
+    # A non-contiguous [10000, 401] view, the shape of a wave run's energy
+    # columns, equals its column-by-column reduction.
+    values = np.random.default_rng(5).standard_normal((10000, 414))[:, 13:]
+    tracemalloc.start()
+    try:
+        stats = pairwise_stats(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * values.nbytes
+    columns = [pairwise_stats(values[:, j]) for j in range(values.shape[1])]
+    assert np.array_equal(stats.mean, [c.mean for c in columns])
+    assert np.array_equal(stats.m2, [c.m2 for c in columns])
+
+
 def test_map_blocks_order_and_block_invariance():
     out = map_blocks(_block_identity, 300, block_size=64)
     np.testing.assert_array_equal(out[:, 0], np.arange(300.0) ** 2)
     out_workers = map_blocks(_block_identity, 300, workers=4, block_size=64)
     np.testing.assert_array_equal(out, out_workers)
+
+
+def _block_pair(start, stop):
+    return _block_identity(start, stop), np.arange(start, stop) % 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_blocks_matches_concatenated_blocks(workers):
+    # 300 samples in blocks of 64 end in a ragged block of 44.
+    parts = [_block_pair(a, min(a + 64, 300)) for a in range(0, 300, 64)]
+    values, flags = map_blocks(_block_pair, 300, workers=workers, block_size=64)
+    for got, pieces in zip((values, flags), zip(*parts)):
+        want = np.concatenate(pieces)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(map_blocks(_block_identity, 300, workers=workers, block_size=64), values)
 
 
 def test_map_blocks_worker_invariance_bitwise():

@@ -122,8 +122,8 @@ def test_deterministic_energy_conserved():
     [(10, 7, 3), (10, 1, 4), (10, 7, 1), (10, 7, 11), (1, 7, 1), (1, 1, 5)],
 )
 def test_simulate_block_keep_matches_full_trajectories(monkeypatch, steps, batch, rows):
-    # Chunks of `rows` grid rows; 11 rows of a 10-step grid split 3+3+3+2
-    # and 4+4+3, and rows=1 starts a chunk at every row.
+    # Draw slices of `rows` steps: the 10 steps of the grid split 3+3+3+1
+    # and 4+4+2, rows=1 starts a slice at every step and 11 takes them all.
     n = 5
     prob = _problem(n_modes=n, c=1.3, length=0.7, g=HilbertVector.unit(n, 2))
     grid = TimeGrid(0.0, 0.03, steps)
