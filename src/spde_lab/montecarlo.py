@@ -10,12 +10,15 @@ matter how samples are sharded across processes.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import json
 import math
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -322,6 +325,56 @@ def write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
             writer.writerow([format_number(a[i]) for a in arrays])
 
 
+@functools.cache
+def _openblas():
+    """(get, set) thread-count calls of numpy's bundled OpenBLAS, or None.
+
+    ``ctypes.CDLL`` on the wheel's ``numpy.libs/libscipy_openblas64_*.so``
+    returns the library numpy has already loaded, so the calls reach
+    numpy's BLAS.  Another numpy build (no such file or symbol) gets None.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _set_blas_threads(n: int) -> int | None:
+    """Set numpy's BLAS thread count; the previous count, or None (no-op).
+
+    The call is skipped when the count is already ``n``: in a forked
+    process it would restart OpenBLAS's thread server, which spins for
+    about 0.1 s of CPU before it sleeps.
+    """
+    calls = _openblas()
+    if calls is None:
+        return None
+    get, set_ = calls
+    before = get()
+    if before != n:
+        set_(n)
+    return before
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one BLAS thread, then restore the caller's count."""
+    before = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if before is not None:
+            _set_blas_threads(before)
+
+
 def map_blocks(fn, n_samples: int, *, workers: int = 1, block_size: int = 128):
     """Evaluate ``fn(start, stop)`` over canonical sample blocks.
 
@@ -331,13 +384,27 @@ def map_blocks(fn, n_samples: int, *, workers: int = 1, block_size: int = 128):
     picklable when ``workers > 1`` and may return one array or a tuple of
     arrays (each with the sample axis first).  Each block's output is
     written into preallocated ``[n_samples, ...]`` arrays as it arrives.
+
+    Every block runs on one BLAS thread, in this process or in each of at
+    most ``min(workers, blocks)`` worker processes: the bits of a matrix
+    product can depend on how BLAS splits it over threads, and ``workers``
+    is the only parallelism setting.  Workers start while this process is
+    at one thread, so a forked worker inherits it and its initializer has
+    nothing to set; a spawned one sets it.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     starts = range(0, n_samples, block_size)
     stops = [min(s + block_size, n_samples) for s in starts]
+    workers = min(workers, len(starts))
+    if workers > 1:
+        executor = ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
+        )
+    else:
+        executor = nullcontext()
     out = None
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with _one_blas_thread(), executor as pool:
         parts = (pool.map if pool else map)(fn, starts, stops)
         for a, b, part in zip(starts, stops, parts):
             pieces = part if isinstance(part, tuple) else (part,)

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from spde_lab import burgers
+from spde_lab import burgers, montecarlo
 from spde_lab.burgers import (
     AdditiveNoise,
     BurgersProblem,
@@ -257,6 +258,32 @@ def test_ensemble_worker_invariance():
     for w in (2, 8):
         assert np.array_equal(runs[1].stats.mean, runs[w].stats.mean)
         assert np.array_equal(runs[1].stats.m2, runs[w].stats.m2)
+
+
+def test_ensemble_bytes_independent_of_blas_threads():
+    # At 64 modes, the ragged last block (116 of 244 samples) of
+    # trace_block gives other last bits on two BLAS threads than on one,
+    # and at this amplitude they reach m2; map_blocks runs every block on
+    # one thread, in-process or pooled.
+    calls = montecarlo._openblas()
+    if calls is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    get, _ = calls
+    spec = CovarianceSpectrum.parse("power:2", 64)
+    prob = BurgersProblem(0.05, 1.0, 1.0, AdditiveNoise(spec), HilbertVector.unit(64, 1, 2.0).coeffs)
+    grid = TimeGrid(0, 1e-3, 100)
+    run = partial(simulate_energy_ensemble, prob, grid, 244, RandomStream(11), block_size=128)
+    before = montecarlo._set_blas_threads(1)
+    try:
+        want = run()
+        montecarlo._set_blas_threads(2)
+        for workers in (1, 2):
+            got = run(workers=workers)
+            assert get() == 2
+            assert np.array_equal(got.stats.mean, want.stats.mean)
+            assert np.array_equal(got.stats.m2, want.stats.m2)
+    finally:
+        montecarlo._set_blas_threads(before)
 
 
 def test_ensemble_reports_divergences():

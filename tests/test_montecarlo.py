@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import spde_lab
+from spde_lab import montecarlo
 from spde_lab.montecarlo import (
     RandomStream,
     Report,
@@ -96,6 +97,34 @@ def test_samples_are_keyed_only_in_montecarlo():
         text = path.read_text()
         assert not re.search(r"range\(\s*start\s*,\s*stop\s*\)", text), path.name
         assert not _loop_child_calls(ast.parse(text)), path.name
+
+
+def _pool_constructions(tree) -> list:
+    """(enclosing function, keyword names) of each ProcessPoolExecutor call."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "func", None)
+        if not isinstance(node, ast.Call) or "ProcessPoolExecutor" not in (
+            getattr(name, "id", None), getattr(name, "attr", None)
+        ):
+            continue
+        scope = node
+        while scope in parents and not isinstance(scope, ast.FunctionDef):
+            scope = parents[scope]
+        found.append((getattr(scope, "name", None), {k.arg for k in node.keywords}))
+    return found
+
+
+def test_process_pools_are_built_only_in_map_blocks():
+    # map_blocks is the one pool path; its initializer sets the worker's
+    # BLAS thread count, which a pool built elsewhere would leave at the
+    # library default.
+    modules = sorted(Path(spde_lab.__file__).parent.glob("*.py"))
+    pools = {path.name: _pool_constructions(ast.parse(path.read_text())) for path in modules}
+    [(scope, keywords)] = pools.pop("montecarlo.py")
+    assert scope == "map_blocks" and "initializer" in keywords
+    assert not any(pools.values()), pools
 
 
 def test_gaussian_moments_fixed_seed():
@@ -234,3 +263,61 @@ def test_map_blocks_worker_invariance_bitwise():
 def _sample_values(start, stop):
     stream = RandomStream(17)
     return np.stack([stream.child(i).normals(3) for i in range(start, stop)])
+
+
+@pytest.mark.parametrize("samples, workers, pool_size", [(96, 8, None), (300, 8, 5), (300, 2, 2)])
+def test_map_blocks_caps_pool_at_blocks(monkeypatch, samples, workers, pool_size):
+    # 96 samples fill one 128-sample block: a pool would fork eight
+    # processes for it, so the serial path runs instead.  The stand-in pool
+    # records its arguments and maps in-process, so no worker starts.
+    calls = []
+
+    class RecordingPool:
+        def __init__(self, **kwargs):
+            calls.append(kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    block_size = 128 if samples == 96 else 64
+    out = map_blocks(_block_identity, samples, workers=workers, block_size=block_size)
+    assert np.array_equal(out[:, 0], np.arange(samples, dtype=float) ** 2)
+    if pool_size is None:
+        assert calls == []
+    else:
+        [kwargs] = calls
+        assert kwargs["max_workers"] == pool_size
+        assert kwargs["initializer"] is montecarlo._set_blas_threads
+        assert kwargs["initargs"] == (1,)
+
+
+def test_blas_thread_policy_is_noop_without_the_library(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_openblas", lambda: None)
+    assert montecarlo._set_blas_threads(1) is None
+    out = map_blocks(_block_identity, 300, block_size=64)
+    assert np.array_equal(out[:, 0], np.arange(300.0) ** 2)
+
+
+def _blas_threads_block(start, stop):
+    get, _ = montecarlo._openblas()
+    return np.full(stop - start, get())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_blocks_runs_blocks_on_one_blas_thread(workers):
+    if montecarlo._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    before = montecarlo._set_blas_threads(2)
+    try:
+        counts = map_blocks(_blas_threads_block, 300, workers=workers, block_size=64)
+        assert np.all(counts == 1)
+        assert montecarlo._openblas()[0]() == 2
+    finally:
+        montecarlo._set_blas_threads(before)

@@ -8,6 +8,9 @@ is.
 The digests hold for the build they were recorded on: numpy 2.4.6 with
 OpenBLAS 0.3.31 (scipy 1.17.1), x86-64.  Another numpy or BLAS build may
 change the last bits of a matrix product or a reduction and so the bytes.
+They do not depend on ``OPENBLAS_NUM_THREADS``, the number of cores or
+``--workers``: ``montecarlo.map_blocks`` runs every sample block on one
+BLAS thread, and ``--workers`` is the only parallelism setting.
 A repin is allowed only for a declared change to the random stream or the
 numerics, recorded in CHANGES.md with the old and new digests.
 
