@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 
 @dataclass(frozen=True)
@@ -110,16 +109,9 @@ class HilbertVector:
 
 @dataclass(frozen=True)
 class CovarianceSpectrum:
-    """Eigenvalues q_n >= 0 of the noise covariance operator, basis-aligned.
-
-    ``decay_law`` records how the sequence was generated ('finite',
-    'power' with q_n = n^-p, or 'exp' with q_n = exp(-r n)) so that the
-    truncated tail mass can be reported.
-    """
+    """Eigenvalues q_n >= 0 of the noise covariance operator, basis-aligned."""
 
     eigenvalues: np.ndarray
-    decay_law: str = "finite"
-    decay_param: float | None = None
 
     def __post_init__(self):
         arr = np.array(self.eigenvalues, dtype=float)
@@ -138,26 +130,6 @@ class CovarianceSpectrum:
         """Sum of the stored eigenvalues."""
         return float(np.sum(self.eigenvalues))
 
-    def tail_mass(self) -> float:
-        """Mass sum_{n > N} q_n dropped by the truncation.
-
-        Exact for 'power' (Hurwitz zeta) and 'exp' (geometric series); zero
-        for explicitly finite spectra.  Helps choose N so that the tail is
-        below e.g. 1e-6 times the trace.
-        """
-        n = len(self)
-        if self.decay_law == "power":
-            p = self.decay_param
-            if p <= 1:
-                return float("inf")
-            return float(zeta(p, n + 1))
-        if self.decay_law == "exp":
-            r = self.decay_param
-            if r <= 0:
-                return float("inf")
-            return float(np.exp(-r * (n + 1)) / (1.0 - np.exp(-r)))
-        return 0.0
-
     def apply_power(self, gamma: float, vec: HilbertVector) -> HilbertVector:
         """Coefficients q_n^gamma <a, e_n> of Q^gamma a.
 
@@ -174,17 +146,17 @@ class CovarianceSpectrum:
 
     @classmethod
     def finite(cls, values) -> "CovarianceSpectrum":
-        return cls(np.asarray(values, dtype=float), "finite")
+        return cls(np.asarray(values, dtype=float))
 
     @classmethod
     def power(cls, p: float, n_modes: int) -> "CovarianceSpectrum":
         q = np.arange(1, n_modes + 1, dtype=float) ** (-p)
-        return cls(q, "power", p)
+        return cls(q)
 
     @classmethod
     def exponential(cls, r: float, n_modes: int) -> "CovarianceSpectrum":
         q = np.exp(-r * np.arange(1, n_modes + 1, dtype=float))
-        return cls(q, "exp", r)
+        return cls(q)
 
     @classmethod
     def parse(cls, text: str, n_modes: int) -> "CovarianceSpectrum":

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .hilbert import DirichletBasis
 from .montecarlo import RandomStream
@@ -89,6 +88,22 @@ def exponent_stochastic(prob: LyapunovProblem) -> float:
     return exponent_deterministic(prob) + shift
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a finite [rows, k] array.
+
+    The steps of scipy.special.logsumexp (scipy 1.17), so the bits match:
+    the m entries equal to the row maximum leave the sum s of the shifted
+    exponentials, which is then divided by m, and the result is
+    log1p(s) + log(m) + max.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    at_max = a == a_max
+    m = at_max.sum(axis=1, keepdims=True, dtype=a.dtype)
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
+
+
 def log_norm_path(prob: LyapunovProblem, grid: TimeGrid, stream: RandomStream) -> np.ndarray:
     """log ||v(t_k)|| along one exact modal path, length steps+1.
 
@@ -107,7 +122,7 @@ def log_norm_path(prob: LyapunovProblem, grid: TimeGrid, stream: RandomStream) -
     np.cumsum(
         np.sqrt(grid.dt) * stream.generator().standard_normal(grid.steps), out=w[1:]
     )
-    log_sq = logsumexp(2 * rates * grid.times[:, np.newaxis] + log_f2, axis=1)
+    log_sq = _logsumexp_rows(2 * rates * grid.times[:, np.newaxis] + log_f2)
     return prob.gamma * w + 0.5 * log_sq
 
 

@@ -16,7 +16,6 @@ import json
 import math
 import time
 from contextlib import contextmanager, nullcontext
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -398,6 +397,8 @@ def map_blocks(fn, n_samples: int, *, workers: int = 1, block_size: int = 128):
     stops = [min(s + block_size, n_samples) for s in starts]
     workers = min(workers, len(starts))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
+
         executor = ProcessPoolExecutor(
             max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
         )

@@ -2,11 +2,15 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spde_lab
 from spde_lab import cli, lyapunov, wave
 from spde_lab.cli import run
 from spde_lab.hilbert import CovarianceSpectrum, HilbertVector
@@ -259,3 +263,43 @@ def test_wave_block_memory_within_stated_bound():
         tracemalloc.stop()
     assert values.shape[0] == batch
     assert peak <= 3 / 8 * cli._BLOCK_BYTES
+
+
+# Runs every subcommand through cli.run in a fresh interpreter (this test
+# process has scipy loaded already) and prints the exit codes and the
+# scipy / concurrent.futures modules loaded by then.
+_IMPORT_PROBE = """
+import json, sys
+from spde_lab import cli
+out, workers = sys.argv[1:]
+runs = [
+    ["wave", "--modes", "4", "--dt", "0.05", "--t-final", "0.5", "--samples", "300"],
+    ["heat", "--samples", "300"],
+    ["wiener", "--modes", "4", "--samples", "300"],
+    ["lyapunov", "--t-final", "5"],
+    ["burgers", "--modes", "8", "--dt", "0.001", "--t-final", "0.05", "--samples", "300"],
+]
+codes = [
+    cli.run([*argv, "--workers", workers, "--seed", "3", "--out", f"{out}/{i}"])
+    for i, argv in enumerate(runs)
+]
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("concurrent.futures")]
+print(json.dumps({"codes": codes, "loaded": sorted(loaded)}))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cli_runs_without_scipy_or_an_idle_pool(tmp_path, workers):
+    # scipy is a test dependency only, and a serial run never imports the
+    # process pool: both would cost every CLI call start-up time.
+    env = dict(os.environ, PYTHONPATH=str(Path(spde_lab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), str(workers)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    # Exit 1 is a gate verdict at this seed, not a crash; 2 would be a usage error.
+    assert all(code in (0, 1) for code in result["codes"]), result["codes"]
+    assert not any(m.split(".")[0] == "scipy" for m in result["loaded"]), result["loaded"]
+    # The sampled runs have 300 samples, three blocks: --workers 2 starts a pool.
+    assert ("concurrent.futures" in result["loaded"]) == (workers > 1), result["loaded"]

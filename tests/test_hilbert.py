@@ -153,19 +153,6 @@ def test_unit_vector_and_norm():
         HilbertVector.unit(5, 6)
 
 
-def test_tail_mass_power_matches_series():
-    spec = CovarianceSpectrum.power(2.0, 1000)
-    assert spec.tail_mass() == pytest.approx(math.pi**2 / 6 - spec.trace, rel=1e-9)
-
-
-def test_tail_mass_exponential_geometric():
-    r, n = 0.5, 20
-    spec = CovarianceSpectrum.exponential(r, n)
-    direct = sum(math.exp(-r * k) for k in range(n + 1, 2000))
-    assert spec.tail_mass() == pytest.approx(direct, rel=1e-9)
-    assert CovarianceSpectrum.finite([1.0, 2.0]).tail_mass() == 0.0
-
-
 @pytest.mark.parametrize(
     "text,expected",
     [

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from spde_lab.lyapunov import (
     LyapunovProblem,
+    _logsumexp_rows,
     estimate_from_path,
     exponent_deterministic,
     exponent_stochastic,
@@ -171,3 +173,21 @@ def test_window_validation():
         estimate_from_path(prob, grid, RandomStream(3), t_burn=1.0)
     with pytest.raises(ValueError):
         estimate_from_path(prob, grid, RandomStream(3), t_burn=-0.5)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 33])
+def test_logsumexp_rows_bitwise_equal_to_scipy(k):
+    rng = np.random.default_rng(k)
+    a = rng.normal(scale=30.0, size=(2001, k))
+    # Tied maxima: a row's maximum copied into other entries of the row,
+    # and whole rows of one value (the shifted sum is then exactly zero).
+    for row in range(0, 2001, 7):
+        a[row, rng.integers(k, size=rng.integers(1, k + 1))] = a[row].max()
+    a[1::50] = rng.normal(size=(a[1::50].shape[0], 1))
+    # The [steps+1, active modes] terms 2 rates t + log f^2 of log_norm_path.
+    prob = _prob(beta=0.3, gamma=1.1, coeffs=rng.normal(size=k))
+    rates = -prob.eigenvalues + prob.beta - 0.5 * prob.gamma**2
+    times = TimeGrid(0, 0.005, 2000).times[:, np.newaxis]
+    terms = 2 * rates * times + 2 * np.log(np.abs(prob.init_coeffs))
+    for x in (a, terms):
+        assert np.array_equal(_logsumexp_rows(x), logsumexp(x, axis=1))

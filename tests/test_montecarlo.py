@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import math
 import re
 import tracemalloc
@@ -285,7 +286,7 @@ def test_map_blocks_caps_pool_at_blocks(monkeypatch, samples, workers, pool_size
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     block_size = 128 if samples == 96 else 64
     out = map_blocks(_block_identity, samples, workers=workers, block_size=block_size)
     assert np.array_equal(out[:, 0], np.arange(samples, dtype=float) ** 2)
