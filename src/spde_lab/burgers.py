@@ -39,10 +39,6 @@ class StepSizeError(ValueError):
     """Requested time step violates the advective CFL limit."""
 
 
-class DivergenceError(RuntimeError):
-    """A trajectory exceeded the blow-up threshold."""
-
-
 @dataclass(frozen=True)
 class AdditiveNoise:
     """Q-Wiener forcing: independent increments sigma sqrt(q_n) dW_n per mode."""
@@ -101,17 +97,8 @@ class BurgersProblem:
 
 
 @dataclass(frozen=True)
-class EnergyTrace:
-    """Per-step ||u(t_k)||^2 of one sample; NaN from the divergence step on."""
-
-    grid: TimeGrid
-    e2: np.ndarray
-    diverged_at: int | None = None
-
-
-@dataclass(frozen=True)
 class EnergyEnsemble:
-    """Per-step Welford statistics of ||u||^2 across an ensemble."""
+    """Per-step statistics of ||u||^2 across an ensemble (pairwise merge)."""
 
     grid: TimeGrid
     stats: EnsembleStats
@@ -192,32 +179,6 @@ def _apply_step(prob: BurgersProblem, coeffs: np.ndarray, dt: float, draws: np.n
     return advanced + prob.sigma * np.sqrt(dt) * draws[:, np.newaxis] * coeffs
 
 
-def step(
-    coeffs: np.ndarray, prob: BurgersProblem, dt: float, stream: RandomStream
-) -> np.ndarray:
-    """Advance one state by one time step.
-
-    Raises :class:`StepSizeError` when dt exceeds the CFL limit for the
-    current state and :class:`DivergenceError` when the result crosses the
-    blow-up threshold.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if dt <= 0:
-        raise StepSizeError("dt must be positive")
-    limit = dt_max(prob, coeffs)
-    if dt > limit:
-        raise StepSizeError(f"dt={dt} exceeds the advective CFL limit {limit:.3e}")
-    n_draws = prob.n_modes if isinstance(prob.noise, AdditiveNoise) else 1
-    draws = stream.normals(n_draws)[np.newaxis]
-    if isinstance(prob.noise, MultiplicativeNoise):
-        draws = draws[:, 0]
-    out = _apply_step(prob, coeffs[np.newaxis], dt, draws)[0]
-    e2 = float(np.sum(out**2))
-    if not np.isfinite(e2) or e2 > blowup_threshold(prob, float(np.sum(coeffs**2))):
-        raise DivergenceError(f"||u||^2 = {e2:.3e} crossed the blow-up threshold")
-    return out
-
-
 def _draw_shape(prob: BurgersProblem, grid: TimeGrid) -> tuple:
     """Per-sample draws: [steps, N] for additive noise, [steps] otherwise."""
     if isinstance(prob.noise, AdditiveNoise):
@@ -260,16 +221,6 @@ def _evolve_block(prob: BurgersProblem, grid: TimeGrid, batch: int, draw_chunks)
     return e2, diverged
 
 
-def sample_energy_trace(
-    prob: BurgersProblem, grid: TimeGrid, stream: RandomStream
-) -> EnergyTrace:
-    """Energy trace of a single trajectory driven by the given stream."""
-    draws = stream.normals(_draw_shape(prob, grid))[np.newaxis]
-    e2, diverged = _evolve_block(prob, grid, 1, [draws])
-    at = int(diverged[0]) if diverged[0] >= 0 else None
-    return EnergyTrace(grid, e2[0], at)
-
-
 def trace_block(
     prob: BurgersProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +243,8 @@ def simulate_energy_ensemble(
     workers: int = 1,
     block_size: int = 128,
 ) -> EnergyEnsemble:
-    """Welford statistics of ||u(t_k)||^2 across an ensemble.
+    """Statistics of ||u(t_k)||^2 across an ensemble, reduced with
+    :func:`~spde_lab.montecarlo.pairwise_stats`.
 
     Sample i is keyed by ``stream.child(i)`` and blocks have a fixed
     canonical size, so the result is bit-identical for any worker count.
@@ -335,13 +287,16 @@ def energy_bound_multiplicative(prob: BurgersProblem, t, e2_init: float):
     return float(out) if out.ndim == 0 else out
 
 
+def energy_bound(prob: BurgersProblem, t, e2_init: float):
+    """The mean-energy bound of the problem's noise model."""
+    if isinstance(prob.noise, AdditiveNoise):
+        return energy_bound_additive(prob, t, e2_init)
+    return energy_bound_multiplicative(prob, t, e2_init)
+
+
 def exit_probability_bound(prob: BurgersProblem, t, e2_init: float, delta: float):
     """Chebyshev bound on P(||u(t)|| >= delta), capped at one."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if isinstance(prob.noise, AdditiveNoise):
-        bound = energy_bound_additive(prob, t, e2_init)
-    else:
-        bound = energy_bound_multiplicative(prob, t, e2_init)
-    out = np.minimum(1.0, np.asarray(bound) / delta**2)
+    out = np.minimum(1.0, np.asarray(energy_bound(prob, t, e2_init)) / delta**2)
     return float(out) if out.ndim == 0 else out

@@ -1,10 +1,10 @@
 """Command-line front end: reproducible experiments with file outputs.
 
-Each subcommand builds a problem, runs a fixed set of closed-form-vs-Monte
-Carlo comparisons and writes ``report.csv``, ``summary.json`` and one or
-more ``series_*.csv`` files into the output directory.  Exit status is 0
-when every gating comparison passes, 1 on a statistical failure and 2 on a
-usage or configuration error.
+Each subcommand builds a problem, declares its closed-form-vs-Monte Carlo
+comparisons as a table of :class:`Check` rows for one runner, and writes
+``report.csv``, ``summary.json`` and ``series_*.csv`` into ``--out``.  Exit
+status is 0 when every gating comparison passes, 1 on a statistical
+failure and 2 on a usage or configuration error.
 
 Flags are long-form kebab-case.  Every flag has a config-file equivalent:
 ``--config file.json`` supplies defaults from a JSON object whose keys
@@ -23,19 +23,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import burgers, heat, lyapunov, wave, wiener
-from .hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector
+from .hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector, correlation_kernel
 from .montecarlo import (
     RandomStream,
     Report,
     compare,
-    comparison_row,
     map_blocks,
     pairwise_stats,
     write_report_csv,
@@ -48,16 +47,11 @@ class ConfigError(Exception):
     """Invalid configuration (reported on stderr, exit code 2)."""
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     name: str
     type: type
     default: object = None
     help: str = ""
-
-    @property
-    def dest(self) -> str:
-        return self.name.replace("-", "_")
 
 
 _COMMON = [
@@ -133,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=f"run the {name} experiment")
         for opt in options + _COMMON:
             # Defaults are injected after config merging, so leave None here.
-            sub.add_argument(f"--{opt.name}", type=opt.type, default=None, help=opt.help)
+            sub.add_argument(
+                f"--{opt.name}", dest=opt.name, type=opt.type, default=None, help=opt.help
+            )
     return parser
 
 
@@ -159,7 +155,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     for opt in options:
         if opt.name == "config":
             continue
-        cli_value = getattr(args, opt.dest)
+        cli_value = getattr(args, opt.name)
         if cli_value is not None:
             resolved[opt.name] = cli_value
         elif opt.name in file_values:
@@ -172,6 +168,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         resolved["seed"] = int(env) if env else 0
     if resolved["out"] is None:
         resolved["out"] = f"runs/{args.subcommand}"
+    if resolved.get("samples", 2) < 2:
+        raise ConfigError("--samples must be at least 2")
     return resolved
 
 
@@ -222,156 +220,202 @@ def _unit_or_zero(n_modes: int, mode: int) -> HilbertVector:
     return HilbertVector.unit(n_modes, mode)
 
 
+class Check(NamedTuple):
+    """One closed-form-vs-Monte-Carlo row of a report, declared as data.
+
+    ``estimate`` is a per-sample column (any function of the samples, such
+    as a squared deviation), reduced with :func:`pairwise_stats`, or a
+    precomputed (mean, stderr) pair.
+    """
+
+    label: str
+    t: float
+    closed_form: float
+    estimate: np.ndarray | tuple[float, float]
+    one_sided: bool = False
+    gating: bool = True
+    note: str = ""
+
+
+def _report(cfg: dict, checks: list[Check], **metadata) -> Report:
+    """The run's report: one row per check, in order, and its metadata."""
+    rows = [
+        compare(
+            c.label, c.t, c.closed_form,
+            c.estimate if isinstance(c.estimate, tuple) else pairwise_stats(c.estimate),
+            one_sided=c.one_sided, gating=c.gating, note=c.note,
+        )
+        for c in checks
+    ]
+    return Report(rows, {"experiment": cfg["subcommand"], "config": cfg, **metadata})
+
+
+def _mc_columns(values, mean_name: str) -> dict:
+    """Series columns ``mean_name`` and ``mc_stderr`` of per-sample rows."""
+    stats = pairwise_stats(values)
+    return {mean_name: np.asarray(stats.mean), "mc_stderr": np.asarray(stats.stderr)}
+
+
 # --------------------------------------------------------------------------
 # Per-sample summary kernels (top level so worker processes can pickle them)
 # --------------------------------------------------------------------------
 
 
-def _wiener_block(spec, basis, grid, vec_a, pairs, probes, stream, start, stop):
-    """Per-sample wiener summaries, shape [batch, 1 + 1 + pairs + probes + steps+1]."""
+def _wiener_block(spec, basis, grid, pairs, k_t, k_s, stream, start, stop):
+    """Per-sample wiener summaries: ||W_T||^2 / T, <W_T, a> with a the unit
+    vector of equal entries, then <W_t, a><W_s, b> for each pair (a, b), then
+    ||W_t||^2 at every grid time."""
     inc = wiener.sample_increments_block(spec, basis, grid, stream, start, stop)
     paths = np.concatenate(
         [np.zeros((inc.shape[0], 1, inc.shape[2])), np.cumsum(inc, axis=1)], axis=1
     )
     coeff = np.sqrt(spec.eigenvalues) * paths
     norm2 = np.sum(coeff**2, axis=2)
-    cols = [norm2[:, -1:] / grid.t_final, coeff[:, -1, :] @ vec_a[:, np.newaxis]]
-    for a, b, k_t, k_s in pairs:
-        cols.append(((coeff[:, k_t, :] @ a) * (coeff[:, k_s, :] @ b))[:, np.newaxis])
-    for ex, ey, k_t, k_s in probes:
-        cols.append(((coeff[:, k_t, :] @ ex) * (coeff[:, k_s, :] @ ey))[:, np.newaxis])
-    cols.append(norm2)
-    return np.concatenate(cols, axis=1)
+    vec_a = np.full((coeff.shape[2], 1), 1.0 / np.sqrt(coeff.shape[2]))
+    cols = [norm2[:, -1:] / grid.t_final, coeff[:, -1, :] @ vec_a]
+    cols += [((coeff[:, k_t, :] @ a) * (coeff[:, k_s, :] @ b))[:, np.newaxis] for a, b in pairs]
+    return np.concatenate(cols + [norm2], axis=1)
 
 
-def _field_columns(u, basis_vals, means, pair_idx):
-    """Field values at the final step, then the L2 deviation at each
-    checkpoint, then the cross deviation of each checkpoint pair.
+def _heat_rows(prob, grid, stream, start, stop, keep):
+    """Heat coefficients at grid rows ``keep`` and no further columns, in
+    the call shape of ``wave.simulate_block``."""
+    _, u = heat.simulate_block(prob, grid, stream, start, stop)
+    return u[:, keep], np.empty((stop - start, 0))
 
-    ``means`` maps each checkpoint index to its mean coefficients.
+
+def _field_block(simulate, prob, grid, basis_vals, means, pair_idx, stream, start, stop):
+    """Per-sample field summaries: the field at the x points at the final
+    step, the L2 deviation at each checkpoint, the cross deviation of each
+    checkpoint pair, then the further columns of ``simulate``.
+
+    ``simulate`` is ``wave.simulate_block`` (energies at every step) or
+    :func:`_heat_rows`: it returns u at the checkpoints and the final step
+    only.  ``means`` maps each checkpoint index to its mean coefficients.
     """
-    devs = {k: u[:, k, :] - mean for k, mean in means.items()}
+    keep = sorted({*means, grid.steps})
+    u, extra = simulate(prob, grid, stream, start, stop, keep)
+    devs = {k: u[:, j, :] - means[k] for j, k in enumerate(keep) if k in means}
     cols = [u[:, -1, :] @ basis_vals.T]
     cols += [np.sum(dev**2, axis=1)[:, np.newaxis] for dev in devs.values()]
     cols += [np.sum(devs[k_t] * devs[k_s], axis=1)[:, np.newaxis] for k_t, k_s in pair_idx]
-    return cols
+    return np.concatenate(cols + [extra], axis=1)
 
 
-def _wave_block(prob, grid, basis_vals, means, pair_idx, stream, start, stop):
-    """Per-sample wave summaries: :func:`_field_columns`, then energies.
-
-    Only u at the checkpoints and the final step is kept; the kernel reads
-    it by position among the kept rows.
-    """
-    keep = sorted({*means, grid.steps})
-    pos = {k: j for j, k in enumerate(keep)}
-    u, energies = wave.simulate_block(prob, grid, stream, start, stop, keep)
-    cols = _field_columns(
-        u, basis_vals, {pos[k]: mean for k, mean in means.items()},
-        [(pos[k_t], pos[k_s]) for k_t, k_s in pair_idx],
-    )
-    return np.concatenate(cols + [energies], axis=1)
-
-
-def _heat_block(prob, grid, basis_vals, means, pair_idx, stream, start, stop):
-    """Per-sample heat summaries: :func:`_field_columns`."""
-    _, u = heat.simulate_block(prob, grid, stream, start, stop)
-    return np.concatenate(_field_columns(u, basis_vals, means, pair_idx), axis=1)
-
-
-def _field_checks(grid: wiener.TimeGrid, mean_coeffs):
-    """Mean coefficients ``mean_coeffs(t)`` keyed by checkpoint index, and
-    the three checkpoint pairs of the covariance rows."""
+def _field_plan(grid: wiener.TimeGrid, mean):
+    """Coefficients of the mean field ``mean(t)`` keyed by checkpoint index,
+    and the three checkpoint pairs of the covariance checks."""
     k = _checkpoints(grid.steps)
-    means = {kk: mean_coeffs(grid.times[kk]) for kk in k}
+    means = {kk: mean(grid.times[kk]).coeffs for kk in k}
     return means, [(k[-1], k[len(k) // 2]), (k[-1], k[0]), (k[len(k) // 2], k[0])]
 
 
-def _field_rows(values, grid, means, pair_idx, mean_x, variance, covariance):
-    """``mean_x*``, ``variance`` and ``covariance_s=*`` rows; row j reads column j.
-
-    ``values`` starts with the :func:`_field_columns` columns.  ``mean_x``
-    lists the closed-form means at the final time; ``variance(t)`` and
-    ``covariance(t, s)`` give the other closed forms.
+def _field_experiment(cfg, grid, prob, simulate, bytes_per_sample, x_points, mean, variance,
+                      covariance, correlation=None):
+    """Per-sample :func:`_field_block` values of a wave or heat field and
+    their checks: ``mean_x*`` at the final time, ``variance`` at each
+    checkpoint and ``covariance_s=*`` for each checkpoint pair, each followed
+    by ``correlation_s=*`` when ``correlation`` is given.  A correlation is a
+    ratio of means, so its estimate comes from fixed-count batch means
+    rather than one pairwise reduction.
     """
-    t_final = grid.t_final
-    rows = [
-        compare(f"mean_x{i}", t_final, closed, pairwise_stats(values[:, i - 1]))
-        for i, closed in enumerate(mean_x, start=1)
+    means, pair_idx = _field_plan(grid, mean)
+    basis_vals = prob.basis.evaluate(np.asarray(x_points))
+    stream = RandomStream(cfg["seed"]).child(0)
+    fn = partial(_field_block, simulate, prob, grid, basis_vals, means, pair_idx, stream)
+    values = map_blocks(
+        fn, cfg["samples"], workers=cfg["workers"], block_size=_block_size(bytes_per_sample)
+    )
+
+    n_x, n_k = len(x_points), len(means)
+    var_cols = dict(zip(means, values[:, n_x : n_x + n_k].T))
+    mean_final = mean(grid.t_final)
+    checks = [
+        Check(f"mean_x{i}", grid.t_final, mean_final.evaluate(prob.basis, x), col)
+        for i, (x, col) in enumerate(zip(x_points, values.T), start=1)
     ]
-    for kk in means:
-        t = grid.times[kk]
-        rows.append(compare("variance", t, variance(t), pairwise_stats(values[:, len(rows)])))
-    for k_t, k_s in pair_idx:
+    checks += [
+        Check("variance", grid.times[k], variance(grid.times[k]), col)
+        for k, col in var_cols.items()
+    ]
+    n_batches = min(20, values.shape[0] // 2)
+    batches = np.array_split(np.arange(values.shape[0]), n_batches)
+    for (k_t, k_s), col in zip(pair_idx, values[:, n_x + n_k :].T):
         t, s = grid.times[k_t], grid.times[k_s]
-        rows.append(
-            compare(
-                f"covariance_s={s:g}", t, covariance(t, s),
-                pairwise_stats(values[:, len(rows)]),
+        checks.append(Check(f"covariance_s={s:g}", t, covariance(t, s), col))
+        if correlation is None:
+            continue
+        corr = np.array(
+            [
+                col[idx].mean() / np.sqrt(var_cols[k_t][idx].mean() * var_cols[k_s][idx].mean())
+                for idx in batches
+            ]
+        )
+        checks.append(
+            Check(
+                f"correlation_s={s:g}", t, correlation(t, s),
+                (float(corr.mean()), float(corr.std(ddof=1) / np.sqrt(len(corr)))),
+                note=f"batch-means estimate ({n_batches} batches)",
             )
         )
-    return rows
+    return values, checks
 
 
 # --------------------------------------------------------------------------
-# Experiments
+# Experiments: each declares its checks and series
 # --------------------------------------------------------------------------
 
 
 def _run_wiener(cfg: dict) -> tuple[Report, dict]:
-    _require_positive(cfg, "modes", "l", "samples")
+    _require_positive(cfg, "modes", "l")
     grid = _grid(cfg)
     basis = DirichletBasis(cfg["l"], cfg["modes"])
     spec = CovarianceSpectrum.parse(cfg["spectrum"], cfg["modes"])
     stream = RandomStream(cfg["seed"])
     n = cfg["modes"]
 
-    vec_a = np.full(n, 1.0 / np.sqrt(n))
     aux = stream.child(1).generator()
-    k_t, k_s = grid.steps, max(1, grid.steps // 2)
     pairs = []
     for _ in range(3):
-        a = aux.standard_normal(n)
-        b = aux.standard_normal(n)
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        pairs.append((a, b, k_t, k_s))
+        a, b = aux.standard_normal(n), aux.standard_normal(n)
+        pairs.append((a / np.linalg.norm(a), b / np.linalg.norm(b)))
     x_probe, y_probe = 0.3 * cfg["l"], 0.7 * cfg["l"]
-    probes = [(basis.evaluate(x_probe), basis.evaluate(y_probe), k_t, k_s)]
+    probe = (basis.evaluate(x_probe), basis.evaluate(y_probe))
+    k_t, k_s = grid.steps, max(1, grid.steps // 2)
 
-    fn = partial(_wiener_block, spec, basis, grid, vec_a, pairs, probes, stream.child(0))
+    fn = partial(
+        _wiener_block, spec, basis, grid, pairs + [probe], k_t, k_s, stream.child(0)
+    )
     values = map_blocks(
         fn, cfg["samples"], workers=cfg["workers"], block_size=_block_size(8 * grid.steps * n)
     )
-    stats = [pairwise_stats(values[:, j]) for j in range(values.shape[1])]
 
-    report = Report(metadata={"experiment": "wiener", "config": cfg})
-    t_final, t_mid = grid.t_final, grid.times[k_s]
-    report.add(compare("trace_identity", t_final, spec.trace, stats[0]))
-    report.add(compare("zero_mean", t_final, 0.0, stats[1]))
-    col = 2
-    for i, (a, b, _, _) in enumerate(pairs, start=1):
-        closed = min(t_final, t_mid) * float((spec.eigenvalues * a) @ b)
-        report.add(compare(f"bilinear_{i}", t_final, closed, stats[col]))
-        col += 1
-    kernel_val = float(np.sum(spec.eigenvalues * probes[0][0] * probes[0][1]))
-    report.add(compare("kernel_identity", t_final, min(t_final, t_mid) * kernel_val, stats[col]))
-    col += 1
+    t_final = grid.t_final
+    m = min(t_final, grid.times[k_s])
+    closed = {"trace_identity": spec.trace, "zero_mean": 0.0}
+    for i, (a, b) in enumerate(pairs, start=1):
+        closed[f"bilinear_{i}"] = m * float((spec.eigenvalues * a) @ b)
+    closed["kernel_identity"] = m * correlation_kernel(spec, basis, x_probe, y_probe)
+    checks = [Check(lab, t_final, c, col) for (lab, c), col in zip(closed.items(), values.T)]
 
-    norm2_stats = pairwise_stats(values[:, col:])
     series = {
         "series_norm2.csv": {
-            "t": grid.times,
-            "closed_form": spec.trace * grid.times,
-            "mc_mean": np.asarray(norm2_stats.mean),
-            "mc_stderr": np.asarray(norm2_stats.stderr),
+            "t": grid.times, "closed_form": spec.trace * grid.times,
+            **_mc_columns(values[:, len(checks) :], "mc_mean"),
         }
     }
-    return report, series
+    return _report(cfg, checks), series
+
+
+_PUMPING_NOTE = (
+    "diagnostic: white-in-time forcing pumps mean energy at rate "
+    "epsilon^2 Tr(Q)/2, so a constant-mean-energy comparison fails "
+    "systematically; excluded from exit status"
+)
 
 
 def _run_wave(cfg: dict) -> tuple[Report, dict]:
-    _require_positive(cfg, "modes", "c", "l", "samples")
+    _require_positive(cfg, "modes", "c", "l")
     grid = _grid(cfg)
     n = cfg["modes"]
     spec = CovarianceSpectrum.parse(cfg["spectrum"], n)
@@ -380,114 +424,51 @@ def _run_wave(cfg: dict) -> tuple[Report, dict]:
     prob = wave.WaveProblem.from_initial_conditions(
         f, g, wave_speed=cfg["c"], length=cfg["l"], epsilon=cfg["epsilon"], spectrum=spec
     )
-    stream = RandomStream(cfg["seed"])
-
-    x_points = [i * cfg["l"] / 6 for i in range(1, 6)]
-    means, pair_idx = _field_checks(grid, lambda t: wave.mean_coefficients(prob, t).coeffs)
-    basis_vals = prob.basis.evaluate(np.asarray(x_points))
-
-    fn = partial(_wave_block, prob, grid, basis_vals, means, pair_idx, stream.child(0))
-    values = map_blocks(
-        fn, cfg["samples"], workers=cfg["workers"], block_size=_block_size(16 * grid.steps * n)
+    values, checks = _field_experiment(
+        cfg, grid, prob, wave.simulate_block, 16 * grid.steps * n,
+        [i * cfg["l"] / 6 for i in range(1, 6)],
+        *(partial(fn, prob) for fn in (
+            wave.mean_coefficients, wave.variance_closed_form, wave.covariance_closed_form
+        )),
     )
 
-    t_final = grid.t_final
-    rows = _field_rows(
-        values, grid, means, pair_idx,
-        [wave.mean_solution(prob, x, t_final) for x in x_points],
-        partial(wave.variance_closed_form, prob), partial(wave.covariance_closed_form, prob),
-    )
-    report = Report(rows, metadata={"experiment": "wave", "config": cfg})
-    energies = values[:, len(rows):]
+    energies = values[:, -(grid.steps + 1) :]
     e0 = wave.initial_energy(prob)
-    pumping_note = (
-        "diagnostic: white-in-time forcing pumps mean energy at rate "
-        "epsilon^2 Tr(Q)/2, so a constant-mean-energy comparison fails "
-        "systematically; excluded from exit status"
-    )
-    for kk in means:
-        t = grid.times[kk]
-        e_stats = pairwise_stats(energies[:, kk])
-        report.add(
-            compare("energy_mean_vs_E0", t, e0, e_stats, gating=False, note=pumping_note)
-        )
-        var_stats = pairwise_stats((energies[:, kk] - e_stats.mean) ** 2)
-        report.add(
-            compare(
-                "energy_variance", t, wave.energy_variance_closed_form(prob, t), var_stats
-            )
-        )
+    for kk in _checkpoints(grid.steps):
+        t, e = grid.times[kk], energies[:, kk]
+        checks += [
+            Check("energy_mean_vs_E0", t, e0, e, gating=False, note=_PUMPING_NOTE),
+            Check(
+                "energy_variance", t, wave.energy_variance_closed_form(prob, t),
+                (e - pairwise_stats(e).mean) ** 2,
+            ),
+        ]
 
-    energy_stats = pairwise_stats(energies)
     series = {
         "series_energy.csv": {
-            "t": grid.times,
-            "mc_mean_energy": np.asarray(energy_stats.mean),
-            "mc_stderr": np.asarray(energy_stats.stderr),
+            "t": grid.times, **_mc_columns(energies, "mc_mean_energy"),
             "initial_energy": np.full(grid.steps + 1, e0),
             "pumped_energy": e0 + wave.mean_energy_drift(prob, grid.times),
         }
     }
-    return report, series
+    return _report(cfg, checks), series
 
 
 def _run_heat(cfg: dict) -> tuple[Report, dict]:
-    _require_positive(cfg, "modes", "samples")
+    _require_positive(cfg, "modes")
     grid = _grid(cfg)
     prob = heat.HeatProblem(cfg["epsilon"], _unit_or_zero(cfg["modes"], cfg["init-mode"]).coeffs)
-    stream = RandomStream(cfg["seed"])
-
-    x_points = [0.25, 0.5, 0.75]
-    means, pair_idx = _field_checks(grid, lambda t: heat.mean_closed_form(prob, t).coeffs)
-    basis_vals = prob.basis.evaluate(np.asarray(x_points))
-
-    fn = partial(_heat_block, prob, grid, basis_vals, means, pair_idx, stream.child(0))
-    values = map_blocks(
-        fn,
-        cfg["samples"],
-        workers=cfg["workers"],
-        block_size=_block_size(8 * grid.steps * prob.n_modes),
+    _, checks = _field_experiment(
+        cfg, grid, prob, _heat_rows, 8 * grid.steps * prob.n_modes, [0.25, 0.5, 0.75],
+        *(partial(fn, prob) for fn in (
+            heat.mean_closed_form, heat.variance_closed_form, heat.covariance_closed_form,
+            heat.correlation_closed_form,
+        )),
     )
-
-    t_final = grid.t_final
-    mean_x = [
-        float(heat.mean_closed_form(prob, t_final).evaluate(prob.basis, x)) for x in x_points
-    ]
-    rows = _field_rows(
-        values, grid, means, pair_idx, mean_x,
-        partial(heat.variance_closed_form, prob), partial(heat.covariance_closed_form, prob),
-    )
-    first_cov = len(x_points) + len(means)
-    report = Report(rows[:first_cov], metadata={"experiment": "heat", "config": cfg})
-    var_cols = dict(zip(means, values[:, len(x_points) : first_cov].T))
-    # Correlation is a ratio of means, so its uncertainty comes from
-    # fixed-count batch means rather than a single Welford pass.
-    n_batches = min(20, values.shape[0] // 2)
-    batches = np.array_split(np.arange(values.shape[0]), n_batches)
-    for row, (k_t, k_s), cov_col in zip(rows[first_cov:], pair_idx, values[:, first_cov:].T):
-        report.add(row)
-        t, s = grid.times[k_t], grid.times[k_s]
-        corr = np.array(
-            [
-                cov_col[idx].mean()
-                / np.sqrt(var_cols[k_t][idx].mean() * var_cols[k_s][idx].mean())
-                for idx in batches
-            ]
-        )
-        closed_corr = heat.correlation_closed_form(prob, t, s)
-        report.add(
-            comparison_row(
-                f"correlation_s={s:g}", t, closed_corr,
-                float(corr.mean()), float(corr.std(ddof=1) / np.sqrt(len(corr))),
-                note=f"batch-means estimate ({n_batches} batches)",
-            )
-        )
-
     mean_norm = np.array([heat.mean_closed_form(prob, t).norm() for t in grid.times])
-    series = {
+    return _report(cfg, checks), {
         "series_mean_norm.csv": {"t": grid.times, "closed_mean_norm": mean_norm}
     }
-    return report, series
 
 
 def _run_lyapunov(cfg: dict) -> tuple[Report, dict]:
@@ -510,30 +491,25 @@ def _run_lyapunov(cfg: dict) -> tuple[Report, dict]:
     stoch = lyapunov.exponent_stochastic(prob)
     estimate = lyapunov.estimate_from_path(prob, grid, stream.child(0), cfg["t-burn"])
 
-    report = Report(metadata={"experiment": "lyapunov", "config": cfg})
-    report.add(
-        comparison_row(
-            "stabilization_shift", cfg["t-final"],
-            (cfg["beta"] - cfg["alpha"]) - 0.5 * cfg["gamma"] ** 2,
-            stoch - det, 0.0, note="exact arithmetic identity",
-        )
-    )
     # The least-squares slope of gamma times a Brownian path over a window
     # W has variance (6/5) gamma^2 / W.
     window = cfg["t-final"] - cfg["t-burn"]
     if cfg["gamma"] != 0:
         band = 3 * np.sqrt(6 / 5) * abs(cfg["gamma"]) / np.sqrt(window)
+        band_note = "tolerance band 3*sqrt(6/5)*gamma/sqrt(t-final - t-burn)"
     else:
-        band = 1e-9
-    report.add(
-        comparison_row(
+        band, band_note = 1e-9, "tolerance 1e-9 (deterministic path)"
+    checks = [
+        Check(
+            "stabilization_shift", cfg["t-final"],
+            (cfg["beta"] - cfg["alpha"]) - 0.5 * cfg["gamma"] ** 2,
+            (stoch - det, 0.0), note="exact arithmetic identity",
+        ),
+        Check(
             "exponent_path_vs_formula", cfg["t-final"], stoch,
-            estimate.slope, band / 3,
-            note="tolerance band 3*sqrt(6/5)*gamma/sqrt(t-final - t-burn)"
-            if cfg["gamma"] != 0
-            else "tolerance 1e-9 (deterministic path)",
-        )
-    )
+            (estimate.slope, band / 3), note=band_note,
+        ),
+    ]
 
     log_norm = lyapunov.log_norm_path(prob, grid, stream.child(0))
     series = {
@@ -543,13 +519,11 @@ def _run_lyapunov(cfg: dict) -> tuple[Report, dict]:
             "formula_line": log_norm[0] + stoch * grid.times,
         }
     }
-    return report, series
+    return _report(cfg, checks), series
 
 
 def _run_burgers(cfg: dict) -> tuple[Report, dict]:
     _require_positive(cfg, "modes", "nu", "l", "delta", "init-amp")
-    if cfg["samples"] < 2:
-        raise ConfigError("--samples must be at least 2")
     grid = _grid(cfg)
     n = cfg["modes"]
     if cfg["noise"] == "additive":
@@ -559,26 +533,14 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
     else:
         raise ConfigError(f"--noise must be additive or multiplicative, got {cfg['noise']!r}")
     u0 = _unit_or_zero(n, cfg["init-mode"]).coeffs * cfg["init-amp"]
-    try:
-        prob = burgers.BurgersProblem(
-            cfg["nu"], cfg["l"], cfg["sigma"], noise, u0, cfg["poincare-c"]
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    stream = RandomStream(cfg["seed"])
-    fn = partial(burgers.trace_block, prob, grid, stream.child(0))
-    try:
-        e2, diverged = map_blocks(fn, cfg["samples"], workers=cfg["workers"])
-    except burgers.StepSizeError as exc:
-        raise ConfigError(str(exc)) from exc
-    stats = pairwise_stats(e2)
+    # An invalid problem and a step above the CFL limit raise ValueError
+    # (exit 2), like a ConfigError.
+    prob = burgers.BurgersProblem(cfg["nu"], cfg["l"], cfg["sigma"], noise, u0, cfg["poincare-c"])
+    fn = partial(burgers.trace_block, prob, grid, RandomStream(cfg["seed"]).child(0))
+    e2, diverged = map_blocks(fn, cfg["samples"], workers=cfg["workers"])
     divergence_count = int(np.sum(diverged >= 0))
     e2_init = float(np.sum(u0**2))
-    if cfg["noise"] == "additive":
-        bound = burgers.energy_bound_additive(prob, grid.times, e2_init)
-    else:
-        bound = burgers.energy_bound_multiplicative(prob, grid.times, e2_init)
+    bound = burgers.energy_bound(prob, grid.times, e2_init)
 
     trace_note = ""
     if cfg["noise"] == "additive" and cfg["l"] != 1.0:
@@ -587,48 +549,41 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
             "the conventional Ito correction carries no l factor"
         )
 
-    report = Report(metadata={"experiment": "burgers", "config": cfg})
+    checks = []
     if divergence_count:
-        report.add(
-            comparison_row(
-                "divergence_count", grid.t_final, 0.0, float(divergence_count), 0.0,
+        checks.append(
+            Check(
+                "divergence_count", grid.t_final, 0.0, (float(divergence_count), 0.0),
                 note="samples aborted at the blow-up threshold",
             )
         )
-    mean = np.asarray(stats.mean)
-    stderr = np.asarray(stats.stderr)
     checkpoints = _checkpoints(grid.steps)
-    for kk in checkpoints:
-        report.add(
-            comparison_row(
-                "energy_vs_bound", grid.times[kk], float(bound[kk]),
-                float(mean[kk]), float(stderr[kk]), one_sided=True, note=trace_note,
-            )
+    checks += [
+        Check(
+            "energy_vs_bound", grid.times[kk], float(bound[kk]), e2[:, kk],
+            one_sided=True, note=trace_note,
         )
-
+        for kk in checkpoints
+    ]
     for kk in (checkpoints[len(checkpoints) // 2], grid.steps):
         t = grid.times[kk]
-        exits = (e2[:, kk] >= cfg["delta"] ** 2).astype(float)
-        p_hat = float(exits.mean())
-        se = float(np.sqrt(p_hat * (1 - p_hat) / len(exits)))
-        cheb = burgers.exit_probability_bound(prob, t, e2_init, cfg["delta"])
-        report.add(
-            comparison_row(
-                "exit_probability", t, float(cheb), p_hat, se,
-                one_sided=True, note=f"binomial SE at delta={cfg['delta']:g}",
+        p_hat = float((e2[:, kk] >= cfg["delta"] ** 2).astype(float).mean())
+        se = float(np.sqrt(p_hat * (1 - p_hat) / len(e2)))
+        checks.append(
+            Check(
+                "exit_probability", t,
+                float(burgers.exit_probability_bound(prob, t, e2_init, cfg["delta"])),
+                (p_hat, se), one_sided=True, note=f"binomial SE at delta={cfg['delta']:g}",
             )
         )
 
-    report.metadata["divergence-count"] = divergence_count
     series = {
         "series_energy.csv": {
-            "t": grid.times,
-            "mc_mean_energy": mean,
-            "mc_stderr": stderr,
+            "t": grid.times, **_mc_columns(e2, "mc_mean_energy"),
             "bound": np.asarray(bound, dtype=float),
         }
     }
-    return report, series
+    return _report(cfg, checks, **{"divergence-count": divergence_count}), series
 
 
 _EXPERIMENTS = {
@@ -673,9 +628,7 @@ def run(argv=None) -> int:
     write_report_csv(report, out_dir / "report.csv")
     write_summary_json(report, out_dir / "summary.json")
     flags = {k: v for k, v in cfg.items() if k != "subcommand"}
-    with open(out_dir / "config.json", "w") as fh:
-        json.dump(flags, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / "config.json").write_text(json.dumps(flags, indent=2, sort_keys=True) + "\n")
     for filename, columns in series.items():
         write_series_csv(out_dir / filename, columns)
 

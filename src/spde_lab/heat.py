@@ -51,44 +51,22 @@ class HeatProblem:
         return -self.eigenvalues - 0.5 * self.epsilon**2
 
 
-@dataclass(frozen=True)
-class HeatSample:
-    """One realization: the scalar driving path and all modal coefficients."""
+def simulate_block(
+    prob: HeatProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar paths [batch, steps+1] and coefficients [batch, steps+1, N]
+    of samples [start, stop), exact in distribution at the grid points.
 
-    grid: TimeGrid
-    w: np.ndarray
-    u: np.ndarray
-
-
-def _realize(prob: HeatProblem, grid: TimeGrid, draws: np.ndarray):
-    """Scalar paths [batch, steps+1] and coefficients [batch, steps+1, N].
-
-    ``draws`` are the standard normals of the scalar paths, [batch, steps].
+    Sample i draws from ``stream.child(i)``, so results are independent of
+    how the index range is sharded across workers.
     """
+    draws = stream.block_normals(start, stop, grid.steps)
     w = np.zeros((draws.shape[0], grid.steps + 1))
     np.cumsum(np.sqrt(grid.dt) * draws, axis=1, out=w[:, 1:])
     exponent = (
         prob.drift_rates * grid.times[:, np.newaxis] + prob.epsilon * w[:, :, np.newaxis]
     )
-    u = prob.init_coeffs * np.exp(exponent)
-    return w, u
-
-
-def sample_solution(prob: HeatProblem, grid: TimeGrid, stream: RandomStream) -> HeatSample:
-    """Draw one realization, exact in distribution at the grid points."""
-    w, u = _realize(prob, grid, stream.normals(grid.steps)[np.newaxis])
-    return HeatSample(grid, w[0], u[0])
-
-
-def simulate_block(
-    prob: HeatProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched realizations for samples [start, stop).
-
-    Sample i draws from ``stream.child(i)``, so results are independent of
-    how the index range is sharded across workers.
-    """
-    return _realize(prob, grid, stream.block_normals(start, stop, grid.steps))
+    return w, prob.init_coeffs * np.exp(exponent)
 
 
 def mean_closed_form(prob: HeatProblem, t: float) -> HilbertVector:

@@ -85,11 +85,6 @@ class HilbertVector:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.coeffs**2)))
 
-    def dot(self, other: "HilbertVector") -> float:
-        if len(other) != len(self):
-            raise ValueError("dimension mismatch")
-        return float(self.coeffs @ other.coeffs)
-
     def evaluate(self, basis: DirichletBasis, x) -> np.ndarray | float:
         """Function values sum_n coeffs_n e_n(x)."""
         if basis.n_modes != len(self):
@@ -129,20 +124,6 @@ class CovarianceSpectrum:
     def trace(self) -> float:
         """Sum of the stored eigenvalues."""
         return float(np.sum(self.eigenvalues))
-
-    def apply_power(self, gamma: float, vec: HilbertVector) -> HilbertVector:
-        """Coefficients q_n^gamma <a, e_n> of Q^gamma a.
-
-        gamma = 0 is the identity (returns ``vec`` unchanged), so zero
-        eigenvalues never hit 0**0.
-        """
-        if gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if len(vec) != len(self):
-            raise ValueError("dimension mismatch")
-        if gamma == 0:
-            return vec
-        return HilbertVector(self.eigenvalues**gamma * vec.coeffs)
 
     @classmethod
     def finite(cls, values) -> "CovarianceSpectrum":
@@ -194,16 +175,3 @@ def correlation_kernel(
     out = np.sum(spectrum.eigenvalues * basis.evaluate(x) * basis.evaluate(y), axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
-
-def apply_kernel(
-    spectrum: CovarianceSpectrum, basis: DirichletBasis, vec: HilbertVector
-) -> HilbertVector:
-    """Apply Q to a vector through the kernel integral int q(x,y) a(y) dy.
-
-    Quadrature counterpart of ``spectrum.apply_power(1, vec)``; used to
-    cross-check the spectral application.
-    """
-    y, w = basis.quadrature()
-    a_vals = vec.evaluate(basis, y)
-    qa_vals = basis.evaluate(y) @ (spectrum.eigenvalues * (basis.evaluate(y).T @ (w * a_vals)))
-    return HilbertVector(basis.evaluate(y).T @ (w * qa_vals))

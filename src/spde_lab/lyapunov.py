@@ -61,14 +61,19 @@ class ExponentEstimate:
             raise ValueError("window must satisfy t_final > t_burn >= 0")
 
 
-def lowest_active_mode(prob: LyapunovProblem) -> int:
-    """Smallest mode index n with |f_n| above ACTIVE_TOL * ||f|| (1-based)."""
+def _active_modes(prob: LyapunovProblem) -> np.ndarray:
+    """0-based indices of the coefficients above ACTIVE_TOL * ||f||."""
     f = prob.init_coeffs
     scale = np.sqrt(np.sum(f**2))
     active = np.flatnonzero(np.abs(f) > ACTIVE_TOL * scale)
     if scale == 0 or active.size == 0:
         raise ValueError("initial condition has no active mode")
-    return int(active[0]) + 1
+    return active
+
+
+def lowest_active_mode(prob: LyapunovProblem) -> int:
+    """Smallest mode index n with |f_n| above ACTIVE_TOL * ||f|| (1-based)."""
+    return int(_active_modes(prob)[0]) + 1
 
 
 def exponent_deterministic(prob: LyapunovProblem) -> float:
@@ -111,13 +116,9 @@ def log_norm_path(prob: LyapunovProblem, grid: TimeGrid, stream: RandomStream) -
     gamma^2/2) t) f_n; the norm is accumulated with log-sum-exp over the
     active modes, never in linear space.
     """
-    f = prob.init_coeffs
-    scale = np.sqrt(np.sum(f**2))
-    active = np.flatnonzero(np.abs(f) > ACTIVE_TOL * scale)
-    if scale == 0 or active.size == 0:
-        raise ValueError("initial condition has no active mode")
+    active = _active_modes(prob)
     rates = -prob.eigenvalues[active] + prob.beta - 0.5 * prob.gamma**2
-    log_f2 = 2 * np.log(np.abs(f[active]))
+    log_f2 = 2 * np.log(np.abs(prob.init_coeffs[active]))
     w = np.zeros(grid.steps + 1)
     np.cumsum(
         np.sqrt(grid.dt) * stream.generator().standard_normal(grid.steps), out=w[1:]

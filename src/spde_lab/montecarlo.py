@@ -178,18 +178,27 @@ class ComparisonRow:
     note: str = ""
 
 
-def comparison_row(
+def compare(
     label: str,
     t: float,
     closed_form: float,
-    mc_mean: float,
-    mc_stderr: float,
+    estimate: EnsembleStats | tuple[float, float],
     *,
     one_sided: bool = False,
     gating: bool = True,
     note: str = "",
 ) -> ComparisonRow:
-    """Build a report row from raw estimates, applying the 3-sigma rule."""
+    """Compare a closed-form value against an estimate, applying the
+    3-sigma rule.
+
+    ``estimate`` is the :class:`EnsembleStats` of at least two samples or a
+    precomputed (mean, stderr) pair.
+    """
+    if isinstance(estimate, EnsembleStats):
+        if estimate.count < 2:
+            raise ValueError("comparison requires at least two samples")
+        estimate = float(estimate.mean), float(estimate.stderr)
+    mc_mean, mc_stderr = estimate
     if mc_stderr < 0 or not math.isfinite(mc_stderr):
         raise ValueError(f"invalid standard error {mc_stderr!r}")
     if mc_stderr == 0.0:
@@ -208,40 +217,12 @@ def comparison_row(
     )
 
 
-def compare(
-    label: str,
-    t: float,
-    closed_form: float,
-    stats: EnsembleStats,
-    *,
-    one_sided: bool = False,
-    gating: bool = True,
-    note: str = "",
-) -> ComparisonRow:
-    """Compare a closed-form value against ensemble statistics."""
-    if stats.count < 2:
-        raise ValueError("comparison requires at least two samples")
-    return comparison_row(
-        label,
-        t,
-        closed_form,
-        float(stats.mean),
-        float(stats.stderr),
-        one_sided=one_sided,
-        gating=gating,
-        note=note,
-    )
-
-
 @dataclass
 class Report:
     """Collection of comparison rows plus run metadata."""
 
     rows: list[ComparisonRow] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-
-    def add(self, row: ComparisonRow) -> None:
-        self.rows.append(row)
 
     def all_passed(self) -> bool:
         """True when every gating row passed (diagnostic rows excluded)."""

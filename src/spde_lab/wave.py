@@ -95,17 +95,6 @@ class WaveProblem:
         return cls(wave_speed, length, epsilon, spectrum, a, b)
 
 
-@dataclass(frozen=True)
-class WaveSample:
-    """One realization: modal displacement, velocity and the driving integrals."""
-
-    grid: TimeGrid
-    u: np.ndarray
-    v: np.ndarray
-    i_sin: np.ndarray
-    i_cos: np.ndarray
-
-
 def _increment_cholesky(prob: WaveProblem, grid: TimeGrid):
     """Lower Cholesky factors of the per-step (dI_sin, dI_cos) covariance.
 
@@ -175,20 +164,14 @@ def _chunks(prob: WaveProblem, grid: TimeGrid, draw_chunks):
         a = b
 
 
-def sample_solution(prob: WaveProblem, grid: TimeGrid, stream: RandomStream) -> WaveSample:
-    """Draw one solution path, exact in distribution at the grid points."""
-    draws = stream.normals((grid.steps, prob.n_modes, 2))[np.newaxis]
-    _, u, v, i_sin, i_cos = next(_chunks(prob, grid, [draws]))
-    return WaveSample(grid, u[0], v[0], i_sin[0], i_cos[0])
-
-
 def simulate_block(
     prob: WaveProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int, keep=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trajectories, or their summaries, for samples [start, stop).
 
-    Sample i draws from ``stream.child(i)`` exactly like
-    :func:`sample_solution`.  Without ``keep``, returns (u, v) of shape
+    Sample i draws from ``stream.child(i)``, so a sample's path does not
+    depend on the block it falls in; the grid values are exact in
+    distribution.  Without ``keep``, returns (u, v) of shape
     [batch, steps+1, n_modes].  With grid indices ``keep``, returns
     (u_keep, energies) of shapes [batch, len(keep), n_modes] and
     [batch, steps+1], equal bit for bit to ``u[:, keep]`` and
@@ -257,15 +240,9 @@ def covariance_closed_form(prob: WaveProblem, t: float, s: float) -> float:
     return float(np.sum(prob.epsilon**2 * q / (2 * mu**2) * terms))
 
 
-def energy(prob: WaveProblem, sample: WaveSample, k: int) -> float:
-    """Spectral energy (1/2) sum_n [v_n^2 + mu_n^2 u_n^2] at grid index k."""
-    if not 0 <= k <= sample.grid.steps:
-        raise ValueError("step index out of range")
-    return float(energy_block(prob, sample.u[k], sample.v[k]))
-
-
 def energy_block(prob: WaveProblem, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Energies for batched trajectories, shape [batch, steps+1]."""
+    """Spectral energies (1/2) sum_n [v_n^2 + mu_n^2 u_n^2] of batched
+    trajectories, shape [batch, steps+1]."""
     mu2 = prob.angular_freqs**2
     return 0.5 * np.sum(v**2 + mu2 * u**2, axis=-1)
 

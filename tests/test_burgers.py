@@ -9,7 +9,6 @@ from spde_lab import burgers, montecarlo
 from spde_lab.burgers import (
     AdditiveNoise,
     BurgersProblem,
-    DivergenceError,
     MultiplicativeNoise,
     StepSizeError,
     blowup_threshold,
@@ -17,10 +16,8 @@ from spde_lab.burgers import (
     energy_bound_additive,
     energy_bound_multiplicative,
     exit_probability_bound,
-    sample_energy_trace,
     simulate_energy_ensemble,
     skew_nonlinearity,
-    step,
     trace_block,
 )
 from spde_lab.hilbert import CovarianceSpectrum, HilbertVector
@@ -58,16 +55,16 @@ def test_zero_state_is_fixed_point():
         0.1, 1.0, 0.0, AdditiveNoise(CovarianceSpectrum.power(2, N)), np.zeros(N)
     )
     grid = TimeGrid(0, 1e-3, 50)
-    trace = sample_energy_trace(prob, grid, RandomStream(1))
-    np.testing.assert_array_equal(trace.e2, np.zeros(grid.steps + 1))
+    e2, _ = trace_block(prob, grid, RandomStream(1), 0, 1)
+    np.testing.assert_array_equal(e2[0], np.zeros(grid.steps + 1))
 
 
 def test_noiseless_energy_monotone():
     prob = _additive(sigma=0.0)
     grid = TimeGrid(0, 1e-3, 500)
-    trace = sample_energy_trace(prob, grid, RandomStream(2))
-    assert trace.diverged_at is None
-    assert np.all(np.diff(trace.e2) <= 1e-15)
+    e2, diverged = trace_block(prob, grid, RandomStream(2), 0, 1)
+    assert diverged[0] == -1
+    assert np.all(np.diff(e2[0]) <= 1e-15)
 
 
 def test_skew_nonlinearity_orthogonal_to_state():
@@ -110,28 +107,35 @@ def test_dt_max_scaling():
 
 
 def test_step_rejects_large_dt():
+    # A time step above the CFL limit of the initial state is rejected; one
+    # below it runs.
     prob = _additive()
+    limit = dt_max(prob, prob.init_coeffs)
     with pytest.raises(StepSizeError):
-        step(prob.init_coeffs, prob, 1.0, RandomStream(4))
-    with pytest.raises(StepSizeError):
-        step(prob.init_coeffs, prob, -0.1, RandomStream(4))
+        trace_block(prob, TimeGrid(0, 1.5 * limit, 2), RandomStream(4), 0, 1)
+    trace_block(prob, TimeGrid(0, 0.5 * limit, 2), RandomStream(4), 0, 1)
+    with pytest.raises(ValueError):
+        TimeGrid(0, -0.1, 2)
 
 
 def test_step_deterministic_given_key():
     prob = _additive()
-    a = step(prob.init_coeffs, prob, 1e-3, RandomStream(5).child(9))
-    b = step(prob.init_coeffs, prob, 1e-3, RandomStream(5).child(9))
+    grid = TimeGrid(0, 1e-3, 1)
+    a, _ = trace_block(prob, grid, RandomStream(5), 9, 10)
+    b, _ = trace_block(prob, grid, RandomStream(5), 9, 10)
     assert np.array_equal(a, b)
 
 
 def test_step_detects_blow_up():
     # Huge viscosity shrinks the asymptotic scale, so starting from rest a
-    # single noise kick crosses the blow-up threshold.
+    # single noise kick crosses the blow-up threshold: the sample is frozen
+    # at the first step and its remaining energies are NaN.
     spec = CovarianceSpectrum.parse("finite:1", N)
     prob = BurgersProblem(1e12, 1.0, 1.0, AdditiveNoise(spec), np.zeros(N))
     assert blowup_threshold(prob, 0.0) < 1e-6
-    with pytest.raises(DivergenceError):
-        step(np.zeros(N), prob, 1e-3, RandomStream(6))
+    e2, diverged = trace_block(prob, TimeGrid(0, 1e-3, 3), RandomStream(6), 0, 1)
+    assert diverged[0] == 1
+    assert e2[0, 0] == 0.0 and np.all(np.isnan(e2[0, 1:]))
 
 
 def test_blowup_threshold_scales():
@@ -299,8 +303,8 @@ def test_trace_matches_single_sample():
     prob = _additive()
     grid = TimeGrid(0, 1e-3, 50)
     block, _ = trace_block(prob, grid, RandomStream(13), 0, 3)
-    single = sample_energy_trace(prob, grid, RandomStream(13).child(1))
-    np.testing.assert_allclose(block[1], single.e2, rtol=1e-12, atol=1e-16)
+    single, _ = trace_block(prob, grid, RandomStream(13), 1, 2)
+    np.testing.assert_allclose(block[1], single[0], rtol=1e-12, atol=1e-16)
 
 
 @pytest.mark.parametrize("make", [_additive, _multiplicative])

@@ -249,14 +249,14 @@ def test_wave_block_memory_within_stated_bound():
         HilbertVector.unit(n, 1), HilbertVector(np.zeros(n)), wave_speed=1.0,
         length=1.0, epsilon=1.0, spectrum=CovarianceSpectrum.parse("power:2", n),
     )
-    means, pair_idx = cli._field_checks(grid, lambda t: wave.mean_coefficients(prob, t).coeffs)
+    means, pair_idx = cli._field_plan(grid, lambda t: wave.mean_coefficients(prob, t))
     basis_vals = prob.basis.evaluate(np.array([0.25, 0.5, 0.75]))
     batch = cli._block_size(16 * steps * n)
     assert batch == 32
     tracemalloc.start()
     try:
-        values = cli._wave_block(
-            prob, grid, basis_vals, means, pair_idx, RandomStream(3), 0, batch
+        values = cli._field_block(
+            wave.simulate_block, prob, grid, basis_vals, means, pair_idx, RandomStream(3), 0, batch
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:

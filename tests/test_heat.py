@@ -8,7 +8,6 @@ from spde_lab.heat import (
     correlation_closed_form,
     covariance_closed_form,
     mean_closed_form,
-    sample_solution,
     simulate_block,
     variance_closed_form,
 )
@@ -27,21 +26,21 @@ def test_drift_rates():
 
 def test_sample_is_exact_transform_of_path():
     grid = TimeGrid(0, 0.05, 6)
-    sample = sample_solution(SINGLE, grid, RandomStream(1))
+    w, u = simulate_block(SINGLE, grid, RandomStream(1), 0, 1)
     expected = SINGLE.init_coeffs * np.exp(
         SINGLE.drift_rates * grid.times[:, np.newaxis]
-        + SINGLE.epsilon * sample.w[:, np.newaxis]
+        + SINGLE.epsilon * w[0][:, np.newaxis]
     )
-    np.testing.assert_array_equal(sample.u, expected)
-    assert sample.w[0] == 0.0
+    np.testing.assert_array_equal(u[0], expected)
+    assert w[0, 0] == 0.0
 
 
 def test_zero_noise_is_deterministic_decay():
     prob = HeatProblem(0.0, [1.0, -0.5, 0.2])
     grid = TimeGrid(0, 0.02, 10)
-    sample = sample_solution(prob, grid, RandomStream(2))
+    _, u = simulate_block(prob, grid, RandomStream(2), 0, 1)
     expected = prob.init_coeffs * np.exp(-prob.eigenvalues * grid.times[:, np.newaxis])
-    np.testing.assert_allclose(sample.u, expected, rtol=1e-14)
+    np.testing.assert_allclose(u[0], expected, rtol=1e-14)
 
 
 def test_sign_pattern_preserved():

@@ -7,7 +7,6 @@ from spde_lab.hilbert import (
     CovarianceSpectrum,
     DirichletBasis,
     HilbertVector,
-    apply_kernel,
     correlation_kernel,
 )
 from spde_lab.montecarlo import RandomStream, pairwise_stats
@@ -59,32 +58,6 @@ def test_negative_eigenvalue_rejected():
         CovarianceSpectrum.finite([1.0, -0.1])
 
 
-def test_apply_power_identity_at_zero():
-    spec = CovarianceSpectrum.finite([4.0, 0.0])
-    vec = HilbertVector([1.0, 2.0])
-    assert spec.apply_power(0.0, vec) is vec
-
-
-def test_apply_power_direct_multiplication():
-    spec = CovarianceSpectrum.finite([4.0, 9.0])
-    out = spec.apply_power(1.0, HilbertVector([1.0, 1.0]))
-    np.testing.assert_allclose(out.coeffs, [4.0, 9.0])
-
-
-def test_apply_power_square_root():
-    spec = CovarianceSpectrum.finite([4.0, 9.0])
-    out = spec.apply_power(0.5, HilbertVector([1.0, 2.0]))
-    np.testing.assert_allclose(out.coeffs, [2.0, 6.0])
-
-
-def test_apply_power_dimension_mismatch():
-    spec = CovarianceSpectrum.finite([4.0, 9.0])
-    with pytest.raises(ValueError):
-        spec.apply_power(1.0, HilbertVector([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        spec.apply_power(-0.5, HilbertVector([1.0, 2.0]))
-
-
 def test_kernel_single_mode_value():
     spec = CovarianceSpectrum.finite([1.0, 0.0, 0.0])
     basis = DirichletBasis(1.0, 3)
@@ -125,13 +98,17 @@ def test_kernel_matches_field_covariance_monte_carlo():
     assert abs(stats.mean - closed) <= 3 * stats.stderr
 
 
-def test_apply_power_one_matches_kernel_integral():
+def test_kernel_integral_matches_spectral_product():
+    # Q a through the kernel integral int q(x, y) a(y) dy, projected back
+    # onto the basis by quadrature, has coefficients q_n a_n.
     spec = CovarianceSpectrum.finite([0.9, 0.4, 0.0, 0.2])
     basis = DirichletBasis(1.0, 4)
     vec = HilbertVector([1.0, -2.0, 0.5, 0.3])
-    spectral = spec.apply_power(1.0, vec)
-    quadrature = apply_kernel(spec, basis, vec)
-    assert np.abs(spectral.coeffs - quadrature.coeffs).max() < 1e-8
+    y, w = basis.quadrature()
+    kernel = correlation_kernel(spec, basis, y[:, np.newaxis], y[np.newaxis, :])
+    qa_vals = kernel @ (w * vec.evaluate(basis, y))
+    quadrature = basis.evaluate(y).T @ (w * qa_vals)
+    assert np.abs(spec.eigenvalues * vec.coeffs - quadrature).max() < 1e-8
 
 
 def test_parseval_for_smooth_function():

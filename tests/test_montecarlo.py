@@ -14,7 +14,6 @@ from spde_lab.montecarlo import (
     RandomStream,
     Report,
     compare,
-    comparison_row,
     map_blocks,
     pairwise_stats,
     write_report_csv,
@@ -166,14 +165,14 @@ def test_compare_exact_agreement():
 
 
 def test_compare_deterministic_mismatch():
-    row = comparison_row("label", 0.0, 1.0, 2.0, 0.0)
+    row = compare("label", 0.0, 1.0, (2.0, 0.0))
     assert not row.passed
     assert math.isinf(row.z)
     assert "deterministic mismatch" in row.note
 
 
 def test_compare_one_sided_zero_stderr_below_bound_passes():
-    row = comparison_row("bound", 0.0, 1.0, 0.0, 0.0, one_sided=True)
+    row = compare("bound", 0.0, 1.0, (0.0, 0.0), one_sided=True)
     assert row.passed
 
 
@@ -184,9 +183,9 @@ def test_compare_one_sided_ignores_low_side():
 
 
 def test_report_gating_and_counts():
-    report = Report()
-    report.add(comparison_row("ok", 0.0, 1.0, 1.0, 0.1))
-    report.add(comparison_row("diag", 0.0, 1.0, 9.0, 0.1, gating=False))
+    report = Report(
+        [compare("ok", 0.0, 1.0, (1.0, 0.1)), compare("diag", 0.0, 1.0, (9.0, 0.1), gating=False)]
+    )
     assert report.all_passed()
     counts = report.counts()
     assert counts == {
@@ -199,8 +198,7 @@ def test_report_gating_and_counts():
 
 
 def test_report_csv_header(tmp_path):
-    report = Report()
-    report.add(comparison_row("row", 0.5, 1.0, 1.01, 0.02))
+    report = Report([compare("row", 0.5, 1.0, (1.01, 0.02))])
     path = tmp_path / "report.csv"
     write_report_csv(report, path)
     lines = path.read_text().splitlines()

@@ -2,8 +2,11 @@
 
 Each case runs one subcommand in-process at a small fixed config and seed
 and compares the SHA-256 of ``report.csv`` and of every ``series_*.csv``
-with the digest recorded here.  A refactor must leave every digest as it
-is.
+with the digest recorded here.  ``summary.json`` is pinned too, without its
+``generated-at`` line and with the output directory echoed in its config
+replaced by a fixed name: that pin covers the notes, the check counts,
+``divergence-count`` and the echoed config, which the CSVs do not carry.
+A refactor must leave every digest as it is.
 
 The digests hold for the build they were recorded on: numpy 2.4.6 with
 OpenBLAS 0.3.31 (scipy 1.17.1), x86-64.  Another numpy or BLAS build may
@@ -20,6 +23,7 @@ that row as it is, ``pass`` flag included.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -76,6 +80,25 @@ PINS = {
 }
 
 
+SUMMARY_PINS = {
+    "burgers-additive": "777b04d6ae47b09c2bfe53c0d6e70c02822088a8df3825a55427fa973d055cce",
+    "burgers-multiplicative": "e8147d95957a68b2d00f0066e696fffa6204d08f2df435325722f79bacb1a0db",
+    "heat": "69fc1fc59a6a62e65119b9e4c647d5dbc6a2bc5c2b59b9a95ada4d4563737089",
+    "lyapunov": "922d11e09ca3885a745b2c84220543317384583b317da22e560940de1716532b",
+    "wave": "140de70bfb1a7f54189139468d6f74e44cbcc9c3ff21bb21222e2a988813f958",
+    "wiener": "3d9dd4774f020bedde3f4fb72354b7ce2a50d4ebae674b93be8d5fe493f235ee",
+}
+
+
+def summary_digest(path, out_dir) -> str:
+    """SHA-256 of ``summary.json`` less its ``generated-at`` line, with
+    ``out_dir`` replaced by ``OUT``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if not line.lstrip().startswith(b'"generated-at"'))
+    kept = kept.replace(json.dumps(str(out_dir)).encode(), b'"OUT"')
+    return hashlib.sha256(kept).hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(PINS))
 def test_data_files_match_pins(case, tmp_path):
     argv, digests = PINS[case]
@@ -86,3 +109,7 @@ def test_data_files_match_pins(case, tmp_path):
     for name, digest in digests.items():
         actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert actual == digest, f"{case}: {name} differs from its pin (sha256 {actual})"
+    actual = summary_digest(tmp_path / "summary.json", tmp_path)
+    assert actual == SUMMARY_PINS[case], (
+        f"{case}: summary.json differs from its pin (sha256 {actual})"
+    )

@@ -10,7 +10,6 @@ from spde_lab.montecarlo import RandomStream, pairwise_stats
 from spde_lab.wave import (
     WaveProblem,
     covariance_closed_form,
-    energy,
     energy_block,
     energy_variance_closed_form,
     initial_energy,
@@ -18,7 +17,6 @@ from spde_lab.wave import (
     mean_energy_drift,
     mean_solution,
     modal_data,
-    sample_solution,
     simulate_block,
     variance_closed_form,
 )
@@ -91,12 +89,12 @@ def test_modal_data_rejects_bad_constants():
 def test_deterministic_wave_exact():
     prob = _problem(epsilon=0.0)
     grid = TimeGrid(0, 0.05, 40)
-    sample = sample_solution(prob, grid, RandomStream(1))
+    u, _ = simulate_block(prob, grid, RandomStream(1), 0, 1)
     mu = prob.angular_freqs
     expected = prob.cos_amps * np.cos(mu * grid.times[:, np.newaxis]) + (
         prob.sin_amps * np.sin(mu * grid.times[:, np.newaxis])
     )
-    np.testing.assert_array_equal(sample.u, expected)
+    np.testing.assert_array_equal(u[0], expected)
 
 
 def test_initial_conditions_of_samples():
@@ -104,17 +102,16 @@ def test_initial_conditions_of_samples():
     f = HilbertVector([0.5, -0.2, 0.1, 0.0])
     g = HilbertVector([0.0, 1.0, 0.0, 0.3])
     prob = _problem(n_modes=n, f=f, g=g, epsilon=0.7)
-    sample = sample_solution(prob, TimeGrid(0, 0.1, 5), RandomStream(2))
-    np.testing.assert_allclose(sample.u[0], prob.cos_amps, rtol=1e-14)
-    np.testing.assert_allclose(sample.v[0], prob.sin_amps * prob.angular_freqs, rtol=1e-14)
+    u, v = simulate_block(prob, TimeGrid(0, 0.1, 5), RandomStream(2), 0, 1)
+    np.testing.assert_allclose(u[0, 0], prob.cos_amps, rtol=1e-14)
+    np.testing.assert_allclose(v[0, 0], prob.sin_amps * prob.angular_freqs, rtol=1e-14)
 
 
 def test_deterministic_energy_conserved():
     prob = _problem(epsilon=0.0)
     grid = TimeGrid(0, 0.05, 40)
-    sample = sample_solution(prob, grid, RandomStream(3))
-    energies = [energy(prob, sample, k) for k in range(grid.steps + 1)]
-    np.testing.assert_allclose(energies, math.pi**2 / 2, rtol=1e-12)
+    u, v = simulate_block(prob, grid, RandomStream(3), 0, 1)
+    np.testing.assert_allclose(energy_block(prob, u, v)[0], math.pi**2 / 2, rtol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -4,26 +4,26 @@ from scipy.integrate import quad
 
 from spde_lab.hilbert import CovarianceSpectrum, DirichletBasis
 from spde_lab.montecarlo import RandomStream, pairwise_stats
-from spde_lab.wiener import (
-    TimeGrid,
-    field_value,
-    ito_integral,
-    sample_increments_block,
-    sample_path,
-)
+from spde_lab.wiener import TimeGrid, sample_increments_block
 
 N_MODES = 6
 BASIS = DirichletBasis(1.0, N_MODES)
 SPEC = CovarianceSpectrum.power(2.0, N_MODES)
 
 
-def _ensemble_coefficients(spec, grid, stream, samples):
-    """Field coefficients sqrt(q_n) W_n(t_k) for an ensemble, [S, steps+1, N]."""
-    inc = sample_increments_block(spec, BASIS, grid, stream, 0, samples)
+def _ensemble_coefficients(spec, grid, stream, samples, start=0):
+    """Field coefficients sqrt(q_n) W_n(t_k) of samples [start, start +
+    samples), [S, steps+1, N]."""
+    inc = sample_increments_block(spec, BASIS, grid, stream, start, start + samples)
     paths = np.concatenate(
         [np.zeros((samples, 1, N_MODES)), np.cumsum(inc, axis=1)], axis=1
     )
     return np.sqrt(spec.eigenvalues) * paths
+
+
+def _field_values(coeff, x):
+    """Field values sum_n coeff_n e_n(x) of coefficients [..., N]."""
+    return coeff @ BASIS.evaluate(x)
 
 
 def test_grid_validation():
@@ -33,35 +33,33 @@ def test_grid_validation():
         TimeGrid(0.0, 0.1, 0)
     grid = TimeGrid(0.5, 0.25, 4)
     np.testing.assert_allclose(grid.times, [0.5, 0.75, 1.0, 1.25, 1.5])
-    assert grid.index_of(1.0) == 2
-    with pytest.raises(ValueError):
-        grid.index_of(0.6)
+    assert grid.t_final == 1.5
 
 
 def test_zero_spectrum_gives_zero_field():
     spec = CovarianceSpectrum.finite(np.zeros(N_MODES))
-    path = sample_path(spec, BASIS, TimeGrid(0, 0.1, 10), RandomStream(1))
+    coeff = _ensemble_coefficients(spec, TimeGrid(0, 0.1, 10), RandomStream(1), 1)
     for k in (0, 5, 10):
-        assert field_value(path, 0.3, k) == 0.0
+        assert _field_values(coeff[0, k], 0.3) == 0.0
 
 
 def test_same_key_bit_identical_paths():
     grid = TimeGrid(0, 0.1, 10)
-    a = sample_path(SPEC, BASIS, grid, RandomStream(9).child(4))
-    b = sample_path(SPEC, BASIS, grid, RandomStream(9).child(4))
-    assert np.array_equal(a.increments, b.increments)
+    a = sample_increments_block(SPEC, BASIS, grid, RandomStream(9), 4, 5)
+    b = sample_increments_block(SPEC, BASIS, grid, RandomStream(9), 4, 5)
+    assert np.array_equal(a, b)
 
 
 def test_field_zero_at_initial_time():
-    path = sample_path(SPEC, BASIS, TimeGrid(0, 0.1, 10), RandomStream(2))
-    assert field_value(path, 0.4, 0) == 0.0
+    coeff = _ensemble_coefficients(SPEC, TimeGrid(0, 0.1, 10), RandomStream(2), 1)
+    assert _field_values(coeff[0, 0], 0.4) == 0.0
 
 
 def test_single_mode_field_is_rank_one():
     spec = CovarianceSpectrum.finite([1.0] + [0.0] * (N_MODES - 1))
-    path = sample_path(spec, BASIS, TimeGrid(0, 0.5, 2), RandomStream(3))
+    coeff = _ensemble_coefficients(spec, TimeGrid(0, 0.5, 2), RandomStream(3), 1)
     ratios = [
-        field_value(path, x, 2) / BASIS.evaluate(x)[0] for x in (0.1, 0.3, 0.6, 0.9)
+        _field_values(coeff[0, 2], x) / BASIS.evaluate(x)[0] for x in (0.1, 0.3, 0.6, 0.9)
     ]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
 
@@ -69,8 +67,10 @@ def test_single_mode_field_is_rank_one():
 def test_block_sampling_matches_child_keys():
     grid = TimeGrid(0, 0.2, 5)
     block = sample_increments_block(SPEC, BASIS, grid, RandomStream(5), 0, 4)
-    single = sample_path(SPEC, BASIS, grid, RandomStream(5).child(2))
-    assert np.array_equal(block[2], single.increments)
+    single = sample_increments_block(SPEC, BASIS, grid, RandomStream(5), 2, 3)
+    keyed = np.sqrt(grid.dt) * RandomStream(5).child(2).normals((grid.steps, N_MODES))
+    assert np.array_equal(block[2], single[0])
+    assert np.array_equal(block[2], keyed)
 
 
 def test_norm_identity_monte_carlo():
@@ -122,19 +122,26 @@ def test_independent_increments():
     assert abs(corr) <= 3.0 / np.sqrt(len(early))
 
 
+def _ito_sums(spec, phi, inc):
+    """Per-mode Ito sums sqrt(q_n) sum_k Phi_n(t_k) dW_n(t_k), [S, N]."""
+    return np.sqrt(spec.eigenvalues) * np.sum(phi * inc, axis=1)
+
+
 def test_ito_integral_zero_integrand():
-    path = sample_path(SPEC, BASIS, TimeGrid(0, 0.1, 10), RandomStream(29))
-    out = ito_integral(path, np.zeros((10, N_MODES)))
-    assert out.norm() == 0.0
+    grid = TimeGrid(0, 0.1, 10)
+    inc = sample_increments_block(SPEC, BASIS, grid, RandomStream(29), 0, 1)
+    assert np.all(_ito_sums(SPEC, np.zeros((10, N_MODES)), inc) == 0.0)
 
 
 def test_ito_integral_constant_recovers_path():
+    # A constant integrand of one sums the increments: the field
+    # coefficients at the final time.
     grid = TimeGrid(0, 0.1, 10)
-    path = sample_path(SPEC, BASIS, grid, RandomStream(31))
-    out = ito_integral(path, np.ones((10, N_MODES)))
-    expected = np.sqrt(SPEC.eigenvalues) * path.modal_paths()[-1]
-    np.testing.assert_array_equal(out.coeffs, path.coefficients(10).coeffs)
-    np.testing.assert_allclose(out.coeffs, expected, rtol=1e-12)
+    inc = sample_increments_block(SPEC, BASIS, grid, RandomStream(31), 0, 1)
+    out = _ito_sums(SPEC, np.ones((10, N_MODES)), inc)
+    coeff = _ensemble_coefficients(SPEC, grid, RandomStream(31), 1)
+    np.testing.assert_allclose(out[0], coeff[0, -1], rtol=1e-12)
+    np.testing.assert_array_equal(out[0], np.sqrt(SPEC.eigenvalues) * inc[0].sum(axis=0))
 
 
 def test_ito_integral_mean_zero():
@@ -179,9 +186,4 @@ def test_generalized_ito_isometry_diagonal():
 def test_dimension_mismatch_rejected():
     small = DirichletBasis(1.0, 3)
     with pytest.raises(ValueError):
-        sample_path(SPEC, small, TimeGrid(0, 0.1, 5), RandomStream(1))
-    path = sample_path(SPEC, BASIS, TimeGrid(0, 0.1, 5), RandomStream(1))
-    with pytest.raises(ValueError):
-        ito_integral(path, np.ones((4, N_MODES)))
-    with pytest.raises(ValueError):
-        field_value(path, 0.5, 7)
+        sample_increments_block(SPEC, small, TimeGrid(0, 0.1, 5), RandomStream(1), 0, 2)
