@@ -109,18 +109,17 @@ class EnergyEnsemble:
 def _transforms(n_modes: int, length: float):
     """Collocation matrices for the dealiased nonlinearity.
 
-    Nodes are the 2N-panel interior points.  Returns (values, derivs,
-    weight): ``values @ coeffs`` gives grid values, ``derivs @ coeffs``
-    grid derivatives, and ``weight * values.T @ grid`` the projection of a
-    grid function that vanishes at the boundary.
+    Nodes are the interior points of the 2N-panel trapezoid rule.  Returns
+    (values, derivs, weight): ``values @ coeffs`` gives grid values,
+    ``derivs @ coeffs`` grid derivatives, and ``weight * values.T @ grid``
+    the projection of a grid function that vanishes at the boundary.
     """
-    panels = 2 * n_modes
-    x = np.arange(1, panels) * (length / panels)
+    x, w = DirichletBasis(length, n_modes).quadrature(2 * n_modes)
     n = np.arange(1, n_modes + 1)
-    phases = np.outer(x, n * np.pi / length)
+    phases = np.outer(x[1:-1], n * np.pi / length)
     values = np.sqrt(2.0 / length) * np.sin(phases)
     derivs = np.sqrt(2.0 / length) * (n * np.pi / length) * np.cos(phases)
-    return values, derivs, length / panels
+    return values, derivs, w[1]
 
 
 def skew_nonlinearity(prob: BurgersProblem, coeffs: np.ndarray) -> np.ndarray:

@@ -7,10 +7,12 @@ status is 0 when every gating comparison passes, 1 on a statistical
 failure and 2 on a usage or configuration error.
 
 Flags are long-form kebab-case.  Every flag has a config-file equivalent:
-``--config file.json`` supplies defaults from a JSON object whose keys
-equal the flag names; explicit command-line values override the file.  The
-environment variable ``SPDE_LAB_SEED`` is the fallback seed when neither
-flag nor config provides one.
+``--config file.json`` reads a JSON object whose keys equal the flag names.
+Its entries are parsed as flags placed before the command line's, so an
+explicit flag overrides the file and a bad value exits 2; ``null`` leaves a
+flag unset, so a run's own ``config.json`` replays it.  The environment
+variable ``SPDE_LAB_SEED`` is the fallback seed when neither flag nor config
+provides one.
 
 Given the same configuration and seed, the data CSVs are byte-identical
 for any ``--workers`` value; ``summary.json`` embeds the wall-clock time
@@ -126,48 +128,43 @@ def build_parser() -> argparse.ArgumentParser:
     for name, options in _OPTIONS.items():
         sub = subparsers.add_parser(name, help=f"run the {name} experiment")
         for opt in options + _COMMON:
-            # Defaults are injected after config merging, so leave None here.
-            sub.add_argument(
-                f"--{opt.name}", dest=opt.name, type=opt.type, default=None, help=opt.help
-            )
+            sub.add_argument(f"--{opt.name}", dest=opt.name, type=opt.type, default=opt.default,
+                             help=opt.help)
+        sub.set_defaults(out=f"runs/{name}")
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    """Merge CLI values, config-file values and hard defaults (that order)."""
-    options = _OPTIONS[args.subcommand] + _COMMON
-    by_name = {opt.name: opt for opt in options}
-    file_values: dict[str, object] = {}
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The config file's non-null entries as ``--key=value`` flags."""
+    names = {opt.name for opt in _OPTIONS[args.subcommand] + _COMMON} - {"config"}
+    try:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must contain a JSON object")
+    unknown = sorted(raw.keys() - names)
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown} for subcommand {args.subcommand}")
+    return [
+        f"--{key}={value if isinstance(value, str) else json.dumps(value)}"
+        for key, value in raw.items() if value is not None
+    ]
+
+
+def _resolve_config(argv: list[str]) -> dict:
+    """Parse the flags; a config file's entries are parsed as flags placed
+    before them, so an explicit flag overrides the file."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must contain a JSON object")
-        for key, value in raw.items():
-            if key not in by_name or key == "config":
-                raise ConfigError(f"unknown config key {key!r} for subcommand {args.subcommand}")
-            file_values[key] = by_name[key].type(value)
-
-    resolved = {"subcommand": args.subcommand}
-    for opt in options:
-        if opt.name == "config":
-            continue
-        cli_value = getattr(args, opt.name)
-        if cli_value is not None:
-            resolved[opt.name] = cli_value
-        elif opt.name in file_values:
-            resolved[opt.name] = file_values[opt.name]
-        else:
-            resolved[opt.name] = opt.default
-
+        args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
+    resolved = vars(args)
+    del resolved["config"]
     if resolved["seed"] is None:
         env = os.environ.get("SPDE_LAB_SEED")
         resolved["seed"] = int(env) if env else 0
-    if resolved["out"] is None:
-        resolved["out"] = f"runs/{args.subcommand}"
     if resolved.get("samples", 2) < 2:
         raise ConfigError("--samples must be at least 2")
     return resolved
@@ -187,9 +184,9 @@ def _grid(cfg: dict) -> wiener.TimeGrid:
     return wiener.TimeGrid(0.0, cfg["dt"], steps)
 
 
-def _checkpoints(steps: int, count: int = 5) -> list[int]:
-    """Evenly spaced grid indices ending at the final step."""
-    return sorted({max(1, round(j * steps / count)) for j in range(1, count + 1)})
+def _checkpoints(steps: int) -> list[int]:
+    """Five evenly spaced grid indices ending at the final step."""
+    return sorted({max(1, round(j * steps / 5)) for j in range(1, 6)})
 
 
 # Bytes of random draws one block may hold.
@@ -198,16 +195,19 @@ _BLOCK_BYTES = 64 << 20
 
 def _block_size(bytes_per_sample: int) -> int:
     """Samples per block: at most 128, and at most ``_BLOCK_BYTES`` (64 MiB)
-    of draws when one sample's whole-path draws cost ``bytes_per_sample``.
+    of ``bytes_per_sample``, one sample's cost for the block layout.
 
-    A sample whose draws alone exceed the budget gets a block of its own.
-    Heat and wiener blocks hold all their draws, so the budget bounds them.
-    A wave block draws one time slice at a time: it holds a draw slice of
-    about 2 x ``montecarlo.CHUNK_BYTES`` (1 MiB), about twelve slice arrays of
-    ``CHUNK_BYTES`` and about ten [steps, n_modes] tables, so at 64 modes
-    and 2000 steps (32 samples) it peaks below 3/8 x ``_BLOCK_BYTES`` =
-    24 MiB.  A pure function of the configuration, so outputs stay
-    byte-identical across worker counts and reruns.
+    A sample whose cost alone exceeds the budget gets a block of its own.
+    Wiener's cost, 8 x steps x N, is its whole-path draws, which a block
+    holds.  Heat's equal 8 x steps x N bounds its [steps+1, N] coefficient
+    array, not its draws, which are [steps].  Wave's 16 x steps x N is its
+    whole-path draws, but a wave block draws one time slice at a time: it
+    holds a draw slice of about 2 x ``montecarlo.CHUNK_BYTES`` (1 MiB),
+    about twelve slice arrays of ``CHUNK_BYTES`` and about ten [steps,
+    n_modes] tables, so at 64 modes and 2000 steps (32 samples) it peaks
+    below 3/8 x ``_BLOCK_BYTES`` = 24 MiB.  A pure function of the
+    configuration, so outputs stay byte-identical across worker counts and
+    reruns.
     """
     return max(1, min(128, _BLOCK_BYTES // bytes_per_sample))
 
@@ -239,14 +239,14 @@ class Check(NamedTuple):
 
 def _report(cfg: dict, checks: list[Check], **metadata) -> Report:
     """The run's report: one row per check, in order, and its metadata."""
-    rows = [
-        compare(
-            c.label, c.t, c.closed_form,
-            c.estimate if isinstance(c.estimate, tuple) else pairwise_stats(c.estimate),
-            one_sided=c.one_sided, gating=c.gating, note=c.note,
-        )
-        for c in checks
-    ]
+    rows = []
+    for c in checks:
+        estimate = c.estimate
+        if not isinstance(estimate, tuple):
+            stats = pairwise_stats(estimate)
+            estimate = float(stats.mean), float(stats.stderr)
+        rows.append(compare(c.label, c.t, c.closed_form, estimate, one_sided=c.one_sided,
+                            gating=c.gating, note=c.note))
     return Report(rows, {"experiment": cfg["subcommand"], "config": cfg, **metadata})
 
 
@@ -485,11 +485,10 @@ def _run_lyapunov(cfg: dict) -> tuple[Report, dict]:
 
     f = HilbertVector.unit(max(cfg["mode"], 4), cfg["mode"])
     prob = lyapunov.LyapunovProblem(cfg["alpha"], cfg["beta"], cfg["gamma"], f.coeffs)
-    stream = RandomStream(cfg["seed"])
-
     det = lyapunov.exponent_deterministic(prob)
     stoch = lyapunov.exponent_stochastic(prob)
-    estimate = lyapunov.estimate_from_path(prob, grid, stream.child(0), cfg["t-burn"])
+    stream = RandomStream(cfg["seed"]).child(0)
+    estimate = lyapunov.estimate_from_path(prob, grid, stream, cfg["t-burn"])
 
     # The least-squares slope of gamma times a Brownian path over a window
     # W has variance (6/5) gamma^2 / W.
@@ -511,7 +510,7 @@ def _run_lyapunov(cfg: dict) -> tuple[Report, dict]:
         ),
     ]
 
-    log_norm = lyapunov.log_norm_path(prob, grid, stream.child(0))
+    log_norm = estimate.log_norm
     series = {
         "series_lognorm.csv": {
             "t": grid.times,
@@ -554,7 +553,8 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
         checks.append(
             Check(
                 "divergence_count", grid.t_final, 0.0, (float(divergence_count), 0.0),
-                note="samples aborted at the blow-up threshold",
+                note="samples aborted at the blow-up threshold; from then on their NaN "
+                "energies fail the energy_vs_bound rows and count as exits",
             )
         )
     checkpoints = _checkpoints(grid.steps)
@@ -567,7 +567,7 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
     ]
     for kk in (checkpoints[len(checkpoints) // 2], grid.steps):
         t = grid.times[kk]
-        p_hat = float((e2[:, kk] >= cfg["delta"] ** 2).astype(float).mean())
+        p_hat = float((~(e2[:, kk] < cfg["delta"] ** 2)).astype(float).mean())
         se = float(np.sqrt(p_hat * (1 - p_hat) / len(e2)))
         checks.append(
             Check(
@@ -611,14 +611,11 @@ def _print_report(report: Report) -> None:
 
 def run(argv=None) -> int:
     """Execute one experiment; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        cfg = _resolve_config(sys.argv[1:] if argv is None else list(argv))
+        report, series = _EXPERIMENTS[cfg["subcommand"]](cfg)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        cfg = _resolve_config(args)
-        report, series = _EXPERIMENTS[args.subcommand](cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,9 @@ induced spatial correlation kernel.
 
 The basis is fixed: e_n(x) = sqrt(2/l) sin(n pi x / l) for n = 1..N on
 (0, l), with Laplacian eigenvalues (n pi / l)^2.  Spatial integrals use the
-composite trapezoid rule on a uniform grid of at least 8N panels, which is
-exact (to roundoff) for products of basis modes.
+composite trapezoid rule on a uniform grid: 8N panels by default, exact (to
+roundoff) for products of basis modes, and 2N for Burgers' dealiased
+collocation.
 """
 
 from __future__ import annotations
@@ -56,12 +57,6 @@ class DirichletBasis:
         w[0] *= 0.5
         w[-1] *= 0.5
         return x, w
-
-    def project(self, f, panels: int | None = None) -> "HilbertVector":
-        """Coefficients <f, e_n> of a callable by trapezoid quadrature."""
-        x, w = self.quadrature(panels)
-        values = np.asarray(f(x), dtype=float)
-        return HilbertVector(self.evaluate(x).T @ (w * values))
 
 
 @dataclass(frozen=True)

@@ -47,18 +47,15 @@ class LyapunovProblem:
         return DirichletBasis(1.0, self.n_modes).eigenvalues
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentEstimate:
-    """Fitted asymptotic growth rate of log ||v(t)|| over a time window."""
+    """Fitted asymptotic growth rate of log ||v(t)|| over a time window, and
+    the whole path ``log_norm`` it was fitted to."""
 
     slope: float
     stderr: float
     window: tuple[float, float]
-
-    def __post_init__(self):
-        t_burn, t_final = self.window
-        if not t_final > t_burn >= 0:
-            raise ValueError("window must satisfy t_final > t_burn >= 0")
+    log_norm: np.ndarray
 
 
 def _active_modes(prob: LyapunovProblem) -> np.ndarray:
@@ -155,4 +152,5 @@ def estimate_from_path(
     t_centered = t - t.mean()
     slope = np.sum(t_centered * y) / np.sum(t_centered**2)
     stderr = np.sqrt(6 / 5) * abs(prob.gamma) / np.sqrt(t[-1] - t[0])
-    return ExponentEstimate(float(slope), float(stderr), (float(t_burn), float(grid.t_final)))
+    window = (float(t_burn), float(grid.t_final))
+    return ExponentEstimate(float(slope), float(stderr), window, log_norm)

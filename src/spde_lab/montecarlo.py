@@ -51,10 +51,6 @@ class RandomStream:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(seq))
 
-    def normals(self, n: int) -> np.ndarray:
-        """``n`` independent standard-normal draws, deterministic per key."""
-        return self.generator().standard_normal(n)
-
     def block_chunks(self, start: int, stop: int, shape, rows: int):
         """Draws of samples [start, stop) in time slices of ``rows`` rows.
 
@@ -76,8 +72,8 @@ class RandomStream:
     def block_normals(self, start: int, stop: int, shape) -> np.ndarray:
         """Draws of shape ``[stop - start, *shape]`` for samples [start, stop).
 
-        Row ``i - start`` holds what ``child(i).normals(shape)`` returns, so
-        a sample's draws do not depend on the block it falls in.  The
+        Row ``i - start`` holds ``child(i).generator().standard_normal(shape)``,
+        so a sample's draws do not depend on the block it falls in.  The
         one-slice case of :meth:`block_chunks`.
         """
         steps = shape if np.ndim(shape) == 0 else shape[0]
@@ -161,7 +157,8 @@ class ComparisonRow:
     ``z`` is (mc_mean - closed_form) / mc_stderr.  Two-sided rows pass when
     |z| <= 3; one-sided rows (upper bounds) pass when z <= 3.  A row with
     zero stderr passes only on exact agreement ("deterministic mismatch"
-    otherwise, with infinite z).  ``gating`` marks whether the row counts
+    otherwise, with infinite z); a non-finite estimate fails ("non-finite
+    estimate", z NaN).  ``gating`` marks whether the row counts
     toward the run's exit status; diagnostic rows are reported but do not
     gate.
     """
@@ -182,26 +179,21 @@ def compare(
     label: str,
     t: float,
     closed_form: float,
-    estimate: EnsembleStats | tuple[float, float],
+    estimate: tuple[float, float],
     *,
     one_sided: bool = False,
     gating: bool = True,
     note: str = "",
 ) -> ComparisonRow:
-    """Compare a closed-form value against an estimate, applying the
-    3-sigma rule.
-
-    ``estimate`` is the :class:`EnsembleStats` of at least two samples or a
-    precomputed (mean, stderr) pair.
-    """
-    if isinstance(estimate, EnsembleStats):
-        if estimate.count < 2:
-            raise ValueError("comparison requires at least two samples")
-        estimate = float(estimate.mean), float(estimate.stderr)
+    """Compare a closed-form value against an estimate (mean, stderr),
+    applying the 3-sigma rule."""
     mc_mean, mc_stderr = estimate
-    if mc_stderr < 0 or not math.isfinite(mc_stderr):
+    if mc_stderr < 0:
         raise ValueError(f"invalid standard error {mc_stderr!r}")
-    if mc_stderr == 0.0:
+    if not (math.isfinite(mc_mean) and math.isfinite(mc_stderr)):
+        z, passed = math.nan, False
+        note = (note + "; " if note else "") + "non-finite estimate"
+    elif mc_stderr == 0.0:
         if mc_mean == closed_form:
             z, passed = 0.0, True
         elif one_sided and mc_mean < closed_form:
@@ -244,23 +236,23 @@ def format_number(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_report_csv(report: Report, path) -> None:
-    """Write rows as ``label,t,closed_form,mc_mean,mc_stderr,z,pass``."""
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["label", "t", "closed_form", "mc_mean", "mc_stderr", "z", "pass"])
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.label,
-                    format_number(r.t),
-                    format_number(r.closed_form),
-                    format_number(r.mc_mean),
-                    format_number(r.mc_stderr),
-                    format_number(r.z),
-                    str(r.passed),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_report_csv(report: Report, path) -> None:
+    """Write rows as ``label,t,closed_form,mc_mean,mc_stderr,z,pass``."""
+    _write_csv(
+        path, ["label", "t", "closed_form", "mc_mean", "mc_stderr", "z", "pass"],
+        (
+            [r.label, *map(format_number, (r.t, r.closed_form, r.mc_mean, r.mc_stderr, r.z)),
+             str(r.passed)]
+            for r in report.rows
+        ),
+    )
 
 
 def _json_default(obj):
@@ -293,16 +285,10 @@ def write_summary_json(report: Report, path) -> None:
 
 def write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
     """Write named columns of equal length as CSV (column 1 should be t)."""
-    names = list(columns)
-    arrays = [np.asarray(columns[n], dtype=float) for n in names]
-    length = len(arrays[0])
-    if any(len(a) != length for a in arrays):
+    arrays = [np.asarray(a, dtype=float) for a in columns.values()]
+    if any(len(a) != len(arrays[0]) for a in arrays):
         raise ValueError("series columns must have equal length")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(length):
-            writer.writerow([format_number(a[i]) for a in arrays])
+    _write_csv(path, list(columns), ([format_number(x) for x in row] for row in zip(*arrays)))
 
 
 @functools.cache

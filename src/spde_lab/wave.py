@@ -124,13 +124,13 @@ def _chunks(prob: WaveProblem, grid: TimeGrid, draw_chunks):
     """Evolve batched draws through the time grid, one time slice at a time.
 
     ``draw_chunks`` yields consecutive slices [batch, r, N, 2] of the
-    per-step draws.  Yields ``(r0, u, v, i_sin, i_cos)`` for the grid rows
-    from ``r0`` up to the last one a slice completes (the first slice also
-    carries row 0), so no array spans the whole grid unless one slice
-    covers it.  A slice continues the running integrals of the one before
-    by adding the carried integral into its first increment before the
-    cumulative sum: every addition happens in the order of one cumulative
-    sum over all steps, so the values do not depend on the slicing.
+    per-step draws.  Yields ``(r0, u, v)`` for the grid rows from ``r0`` up
+    to the last one a slice completes (the first slice also carries row 0),
+    so no array spans the whole grid unless one slice covers it.  A slice
+    continues the running integrals of the one before by adding the carried
+    integral into its first increment before the cumulative sum: every
+    addition happens in the order of one cumulative sum over all steps, so
+    the values do not depend on the slicing.
     """
     l11, l21, l22 = _increment_cholesky(prob, grid)
     mu = prob.angular_freqs
@@ -160,7 +160,7 @@ def _chunks(prob: WaveProblem, grid: TimeGrid, draw_chunks):
         q = prob.sin_amps + gain * i_cos
         u = p * c + q * s
         v = mu * (q * c - p * s)
-        yield r0, u, v, i_sin, i_cos
+        yield r0, u, v
         a = b
 
 
@@ -182,7 +182,7 @@ def simulate_block(
     shape = (grid.steps, prob.n_modes, 2)
     if keep is None:
         draws = stream.block_normals(start, stop, shape)
-        _, u, v, _, _ = next(_chunks(prob, grid, [draws]))
+        _, u, v = next(_chunks(prob, grid, [draws]))
         return u, v
     keep = np.asarray(keep, dtype=int)
     if np.any((keep < 0) | (keep > grid.steps)):
@@ -191,7 +191,7 @@ def simulate_block(
     rows = max(1, CHUNK_BYTES // (8 * batch * prob.n_modes))
     u_keep = np.empty((batch, keep.size, prob.n_modes))
     energies = np.empty((batch, grid.steps + 1))
-    for r0, u, v, _, _ in _chunks(prob, grid, stream.block_chunks(start, stop, shape, rows)):
+    for r0, u, v in _chunks(prob, grid, stream.block_chunks(start, stop, shape, rows)):
         r1 = r0 + u.shape[1]
         energies[:, r0:r1] = energy_block(prob, u, v)
         inside = (keep >= r0) & (keep < r1)

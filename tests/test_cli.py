@@ -106,13 +106,50 @@ def test_config_file_equivalent_to_flags(tmp_path, capsys):
     assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
 
 
+# One small run of each subcommand; Burgers' config.json holds a null
+# ("poincare-c") and Lyapunov's the dt and t-burn it derived.
+REPLAY_RUNS = [
+    HEAT_ARGS,
+    ["wave", "--modes", "4", "--dt", "0.05", "--t-final", "0.5", "--samples", "300",
+     "--seed", "3"],
+    ["wiener", "--modes", "4", "--samples", "300", "--seed", "3"],
+    ["lyapunov", "--t-final", "5", "--gamma", "-1", "--seed", "3"],
+    ["burgers", "--modes", "8", "--dt", "0.001", "--t-final", "0.05", "--samples", "40",
+     "--seed", "3"],
+]
+
+
 def test_written_config_round_trips(tmp_path, capsys):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run(HEAT_ARGS + ["--out", str(out_a)]) == 0
-    code = run(["heat", "--config", str(out_a / "config.json"), "--out", str(out_b)])
+    for i, argv in enumerate(REPLAY_RUNS):
+        out_a, out_b = tmp_path / f"a{i}", tmp_path / f"b{i}"
+        assert run(argv + ["--out", str(out_a)]) == 0
+        assert run([argv[0], "--config", str(out_a / "config.json"), "--out", str(out_b)]) == 0
+        for path in out_a.glob("*.csv"):
+            assert path.read_bytes() == (out_b / path.name).read_bytes(), (argv[0], path.name)
     capsys.readouterr()
-    assert code == 0
+
+
+def test_config_null_means_unset(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": None, "seed": 9, "t-final": 0.2}))
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run(["heat", "--config", str(cfg), "--out", str(out_a)]) == 0
+    assert run(["heat", "--seed", "9", "--t-final", "0.2", "--out", str(out_b)]) == 0
+    capsys.readouterr()
+    assert json.loads((out_a / "config.json").read_text())["samples"] == 2000
     assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("entry", [{"samples": [3]}, {"samples": 2.5}, {"seed": True}])
+def test_config_bad_value_exits_2(tmp_path, capsys, entry):
+    # File values are parsed as flags: what --samples=2.5 rejects, the file
+    # does too, with argparse's message and no traceback.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    assert run(["heat", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid" in err and next(iter(entry)) in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_flag_overrides_config(tmp_path, capsys):
@@ -205,6 +242,31 @@ def test_burgers_multiplicative_run(tmp_path, capsys):
     assert "energy_vs_bound" in labels and "exit_probability" in labels
     summary = json.loads((out / "summary.json").read_text())
     assert summary["divergence-count"] == 0
+
+
+def test_burgers_divergence_exits_1_with_files(tmp_path, capsys):
+    # Most samples blow up: the run is a failed verdict (exit 1), not a usage
+    # error, and still writes every file.
+    out = tmp_path / "burg"
+    code = run(
+        ["burgers", "--sigma", "50", "--modes", "16", "--dt", "0.01", "--t-final", "1",
+         "--samples", "20", "--seed", "7", "--out", str(out)]
+    )
+    capsys.readouterr()
+    assert code == 1
+    names = {p.name for p in out.iterdir()}
+    assert names == {"report.csv", "summary.json", "config.json", "series_energy.csv"}
+    rows = _read_report(out)
+    summary = json.loads((out / "summary.json").read_text())
+    diverged = summary["divergence-count"]
+    assert diverged > 0 and summary["all-passed"] is False
+    [count_row] = [r for r in rows if r["label"] == "divergence_count"]
+    assert float(count_row["mc_mean"]) == diverged and count_row["pass"] == "False"
+    # NaN energies fail their rows; a diverged sample counts as an exit.
+    final = [r for r in rows if r["label"] == "energy_vs_bound"][-1]
+    assert math.isnan(float(final["mc_mean"])) and final["pass"] == "False"
+    exit_final = [r for r in rows if r["label"] == "exit_probability"][-1]
+    assert float(exit_final["mc_mean"]) >= diverged / 20
 
 
 def test_wave_example_invocation(tmp_path, capsys):

@@ -21,36 +21,36 @@ from spde_lab.montecarlo import (
 
 
 def test_same_key_reproduces_draws():
-    a = RandomStream(42).child(1, 5).normals(64)
-    b = RandomStream(42).child(1, 5).normals(64)
+    a = RandomStream(42).child(1, 5).generator().standard_normal(64)
+    b = RandomStream(42).child(1, 5).generator().standard_normal(64)
     assert np.array_equal(a, b)
 
 
 def test_distinct_keys_differ():
-    a = RandomStream(42).child(1).normals(64)
-    b = RandomStream(42).child(2).normals(64)
-    c = RandomStream(43).child(1).normals(64)
+    a = RandomStream(42).child(1).generator().standard_normal(64)
+    b = RandomStream(42).child(2).generator().standard_normal(64)
+    c = RandomStream(43).child(1).generator().standard_normal(64)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_zero_draws_is_empty():
-    assert RandomStream(0).normals(0).shape == (0,)
+    assert RandomStream(0).generator().standard_normal(0).shape == (0,)
 
 
 def test_sibling_streams_uncorrelated():
     n = 100_000
-    x = RandomStream(7).child(0).normals(n)
-    y = RandomStream(7).child(1).normals(n)
+    x = RandomStream(7).child(0).generator().standard_normal(n)
+    y = RandomStream(7).child(1).generator().standard_normal(n)
     assert abs(np.corrcoef(x, y)[0, 1]) < 0.01
 
 
 def test_step_component_does_not_leak_across_samples():
     # Draws under sample key 0 are unchanged by anything done under key 1.
     base = RandomStream(3)
-    before = base.child(0, 123).normals(16)
-    base.child(1, 456).normals(1000)
-    after = base.child(0, 123).normals(16)
+    before = base.child(0, 123).generator().standard_normal(16)
+    base.child(1, 456).generator().standard_normal(1000)
+    after = base.child(0, 123).generator().standard_normal(16)
     assert np.array_equal(before, after)
 
 
@@ -99,6 +99,46 @@ def test_samples_are_keyed_only_in_montecarlo():
         assert not _loop_child_calls(ast.parse(text)), path.name
 
 
+def _referenced_names(tree, skip=None) -> set:
+    """Identifiers read or imported in ``tree``, outside the node ``skip``."""
+    inside = set(map(id, ast.walk(skip))) if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_public_api_has_a_caller():
+    # Every public function, class and method of the package is referenced
+    # by name in src/ outside its own definition, or by the acceptance
+    # tests, which pin the library API; anything else is code only its own
+    # tests call.
+    root = Path(spde_lab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+    pinned = _referenced_names(
+        ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    )
+    uncalled = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        if node.name not in pinned
+        and not any(
+            node.name in _referenced_names(other, node if other is tree else None)
+            for other in trees.values()
+        )
+    ]
+    assert not uncalled, uncalled
+
+
 def _pool_constructions(tree) -> list:
     """(enclosing function, keyword names) of each ProcessPoolExecutor call."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
@@ -128,13 +168,13 @@ def test_process_pools_are_built_only_in_map_blocks():
 
 
 def test_gaussian_moments_fixed_seed():
-    draws = RandomStream(2024).normals(1_000_000)
+    draws = RandomStream(2024).generator().standard_normal(1_000_000)
     assert abs(draws.mean()) < 0.004
     assert abs(draws.var(ddof=1) - 1.0) < 0.01
 
 
 def test_large_sample_variance_regression():
-    draws = RandomStream(99).normals(1_000_000)
+    draws = RandomStream(99).generator().standard_normal(1_000_000)
     stats = pairwise_stats(draws)
     assert abs(stats.variance - 1.0) < 0.01
 
@@ -160,7 +200,7 @@ def test_pairwise_stats_vector_payload():
 
 def test_compare_exact_agreement():
     stats = pairwise_stats([2.0, 2.0, 2.0])
-    row = compare("label", 1.0, 2.0, stats)
+    row = compare("label", 1.0, 2.0, (stats.mean, stats.stderr))
     assert row.z == 0.0 and row.passed
 
 
@@ -178,8 +218,17 @@ def test_compare_one_sided_zero_stderr_below_bound_passes():
 
 def test_compare_one_sided_ignores_low_side():
     stats = pairwise_stats([0.0, 0.1, -0.1, 0.05])
-    row = compare("bound", 0.0, 5.0, stats, one_sided=True)
+    row = compare("bound", 0.0, 5.0, (stats.mean, stats.stderr), one_sided=True)
     assert row.passed and row.z < -3
+
+
+@pytest.mark.parametrize("estimate", [(math.nan, math.nan), (math.nan, 0.0), (1.0, math.inf)])
+def test_compare_non_finite_estimate_fails(estimate):
+    # A diverged sample's NaN reaches the estimate: the row fails, one-sided
+    # or not, instead of passing or raising.
+    row = compare("bound", 0.0, 1.0, estimate, one_sided=True)
+    assert not row.passed and math.isnan(row.z)
+    assert "non-finite estimate" in row.note
 
 
 def test_report_gating_and_counts():
@@ -261,7 +310,9 @@ def test_map_blocks_worker_invariance_bitwise():
 
 def _sample_values(start, stop):
     stream = RandomStream(17)
-    return np.stack([stream.child(i).normals(3) for i in range(start, stop)])
+    return np.stack(
+        [stream.child(i).generator().standard_normal(3) for i in range(start, stop)]
+    )
 
 
 @pytest.mark.parametrize("samples, workers, pool_size", [(96, 8, None), (300, 8, 5), (300, 2, 2)])

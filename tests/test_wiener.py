@@ -68,7 +68,8 @@ def test_block_sampling_matches_child_keys():
     grid = TimeGrid(0, 0.2, 5)
     block = sample_increments_block(SPEC, BASIS, grid, RandomStream(5), 0, 4)
     single = sample_increments_block(SPEC, BASIS, grid, RandomStream(5), 2, 3)
-    keyed = np.sqrt(grid.dt) * RandomStream(5).child(2).normals((grid.steps, N_MODES))
+    draws = RandomStream(5).child(2).generator().standard_normal((grid.steps, N_MODES))
+    keyed = np.sqrt(grid.dt) * draws
     assert np.array_equal(block[2], single[0])
     assert np.array_equal(block[2], keyed)
 
