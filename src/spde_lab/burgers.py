@@ -100,7 +100,6 @@ class BurgersProblem:
 class EnergyEnsemble:
     """Per-step statistics of ||u||^2 across an ensemble (pairwise merge)."""
 
-    grid: TimeGrid
     stats: EnsembleStats
     divergence_count: int
 
@@ -151,16 +150,9 @@ def dt_max(prob: BurgersProblem, coeffs: np.ndarray) -> float:
 
 def blowup_threshold(prob: BurgersProblem, e2_init: float) -> float:
     """Energy level treated as divergence: 1e6 x (initial + asymptotic scale)."""
+    asymptote = 0.0
     if isinstance(prob.noise, AdditiveNoise):
-        asymptote = (
-            prob.poincare_c
-            * prob.sigma**2
-            * prob.length
-            * prob.noise.spectrum.trace
-            / (2 * prob.nu)
-        )
-    else:
-        asymptote = 0.0
+        asymptote = energy_bound_additive(prob, np.inf, 0.0)
     return BLOWUP_FACTOR * (e2_init + asymptote + 1e-30)
 
 
@@ -254,7 +246,7 @@ def simulate_energy_ensemble(
         raise ValueError("need at least two samples")
     fn = partial(trace_block, prob, grid, stream)
     e2, diverged = map_blocks(fn, samples, workers=workers, block_size=block_size)
-    return EnergyEnsemble(grid, pairwise_stats(e2), int(np.sum(diverged >= 0)))
+    return EnergyEnsemble(pairwise_stats(e2), int(np.sum(diverged >= 0)))
 
 
 def energy_bound_additive(prob: BurgersProblem, t, e2_init: float):

@@ -89,9 +89,9 @@ class EnsembleStats:
     time-grid point); ``variance = m2 / (count - 1)``.
     """
 
-    count: int = 0
-    mean: float | np.ndarray = 0.0
-    m2: float | np.ndarray = 0.0
+    count: int
+    mean: float | np.ndarray
+    m2: float | np.ndarray
 
     @property
     def variance(self):
@@ -138,8 +138,6 @@ def pairwise_stats(values: np.ndarray) -> EnsembleStats:
     """
     vals = np.asarray(values, dtype=float)
     n = vals.shape[0]
-    if n == 0:
-        return EnsembleStats()
     cols = vals.reshape(n, -1)
     mean, m2 = np.empty(cols.shape[1]), np.empty(cols.shape[1])
     group = max(1, CHUNK_BYTES // (8 * n))

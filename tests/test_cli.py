@@ -178,6 +178,49 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
 
 
+def test_env_seed_below_config_and_flag(tmp_path, capsys, monkeypatch):
+    # The seed comes from the flag, then the config file, then the
+    # environment: SPDE_LAB_SEED=9 under a config seed of 10 runs seed 10,
+    # and --seed 11 on top of both runs seed 11.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 400, "t-final": 0.2, "dt": 0.05, "seed": 10}))
+    monkeypatch.setenv("SPDE_LAB_SEED", "9")
+    for extra, seed in (([], 10), (["--seed", "11"], 11)):
+        out = tmp_path / str(seed)
+        assert run(["heat", "--config", str(cfg), *extra, "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["seed"] == seed
+    monkeypatch.delenv("SPDE_LAB_SEED")
+    for seed in (10, 11):
+        out = tmp_path / f"plain{seed}"
+        argv = ["heat", "--samples", "400", "--t-final", "0.2", "--dt", "0.05"]
+        assert run(argv + ["--seed", str(seed), "--out", str(out)]) == 0
+        want = (tmp_path / str(seed) / "report.csv").read_bytes()
+        assert (out / "report.csv").read_bytes() == want
+    capsys.readouterr()
+
+
+def test_bad_env_seed_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPDE_LAB_SEED", "abc")
+    assert run(["heat", "--samples", "400", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_heat_sample_minimum(tmp_path, capsys):
+    # Heat's correlation rows are batch means over min(20, samples // 2)
+    # batches, so below 4 samples one batch leaves a NaN stderr: 3 samples
+    # are a usage error, raised before any draw; 4 run without a warning.
+    argv = ["heat", "--seed", "1", "--out"]
+    assert run(argv + [str(tmp_path / "s3"), "--samples", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "--samples" in err and "Traceback" not in err
+    assert not (tmp_path / "s3").exists()
+    assert run(argv + [str(tmp_path / "s4"), "--samples", "4"]) in (0, 1)
+    capsys.readouterr()
+
+
 def test_lyapunov_example_row(tmp_path, capsys):
     out = tmp_path / "lyap"
     code = run(
@@ -216,6 +259,16 @@ def test_lyapunov_stderr_matches_slope_spread_over_paths(tmp_path, capsys):
         for k in range(400)
     ]
     assert np.var(slopes, ddof=1) == pytest.approx(stderr**2, rel=0.15)
+
+
+def test_lyapunov_stderr_uses_fitted_span(tmp_path, capsys):
+    # t-burn 2.5 is off the grid (dt 7/2000): the fit starts at 2.5025, so
+    # W is the fitted span 4.4975, not t-final - t-burn = 4.5.
+    out = tmp_path / "lyap"
+    assert run(["lyapunov", "--t-burn", "2.5", "--t-final", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    row = {r["label"]: r for r in _read_report(out)}["exponent_path_vs_formula"]
+    assert float(row["mc_stderr"]) == pytest.approx(math.sqrt(1.2 / 4.4975), rel=1e-12)
 
 
 def test_wiener_run_passes(tmp_path, capsys):

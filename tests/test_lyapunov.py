@@ -5,11 +5,12 @@ import pytest
 from scipy.special import logsumexp
 
 from spde_lab.lyapunov import (
+    ACTIVE_TOL,
     LyapunovProblem,
-    _logsumexp_rows,
     estimate_from_path,
     exponent_deterministic,
     exponent_stochastic,
+    log_norm_path,
     lowest_active_mode,
 )
 from spde_lab.montecarlo import RandomStream
@@ -175,19 +176,30 @@ def test_window_validation():
         estimate_from_path(prob, grid, RandomStream(3), t_burn=-0.5)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 33])
-def test_logsumexp_rows_bitwise_equal_to_scipy(k):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "k, slowest",
+    [(k, None) for k in (1, 2, 3, 8, 33)] + [(k, 1.5 * ACTIVE_TOL) for k in (2, 8, 33)],
+)
+def test_log_norm_path_matches_logsumexp(k, slowest):
+    # log_norm_path sums relative to the slowest active mode; the reference
+    # is scipy's logsumexp of the same terms, over t up to 1000, where the
+    # fast modes' terms fall far below the slowest mode's.  ``slowest``
+    # puts the first coefficient just above the activity threshold, so the
+    # other modes start up to 2 log(1 / ACTIVE_TOL) above it.
     rng = np.random.default_rng(k)
-    a = rng.normal(scale=30.0, size=(2001, k))
-    # Tied maxima: a row's maximum copied into other entries of the row,
-    # and whole rows of one value (the shifted sum is then exactly zero).
-    for row in range(0, 2001, 7):
-        a[row, rng.integers(k, size=rng.integers(1, k + 1))] = a[row].max()
-    a[1::50] = rng.normal(size=(a[1::50].shape[0], 1))
-    # The [steps+1, active modes] terms 2 rates t + log f^2 of log_norm_path.
-    prob = _prob(beta=0.3, gamma=1.1, coeffs=rng.normal(size=k))
+    coeffs = rng.normal(size=k)
+    if slowest is not None:
+        coeffs[0] = slowest * np.sqrt(np.sum(coeffs[1:] ** 2) / (1 - slowest**2))
+    prob = _prob(beta=0.3, gamma=1.1, coeffs=coeffs)
+    assert lowest_active_mode(prob) == 1
+    grid = TimeGrid(0, 0.5, 2000)
+    got = log_norm_path(prob, grid, RandomStream(k))
+
+    draws = RandomStream(k).generator().standard_normal(grid.steps)
+    w = np.concatenate([[0.0], np.cumsum(np.sqrt(grid.dt) * draws)])
     rates = -prob.eigenvalues + prob.beta - 0.5 * prob.gamma**2
-    times = TimeGrid(0, 0.005, 2000).times[:, np.newaxis]
-    terms = 2 * rates * times + 2 * np.log(np.abs(prob.init_coeffs))
-    for x in (a, terms):
-        assert np.array_equal(_logsumexp_rows(x), logsumexp(x, axis=1))
+    terms = 2 * np.outer(grid.times, rates) + 2 * np.log(np.abs(coeffs))
+    ref = prob.gamma * w + 0.5 * logsumexp(terms, axis=1)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))

@@ -139,6 +139,41 @@ def test_public_api_has_a_caller():
     assert not uncalled, uncalled
 
 
+def _record_fields(tree) -> list:
+    """(class, field) of each annotated field of a dataclass or NamedTuple."""
+    def is_record(cls):
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        return any(getattr(d, "id", None) == "dataclass" for d in decorators) or any(
+            getattr(b, "id", None) == "NamedTuple" for b in cls.bases
+        )
+
+    return [
+        (cls.name, stmt.target.id)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and is_record(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def test_record_fields_are_read():
+    # Every field of a dataclass or NamedTuple in the package is read as an
+    # attribute somewhere in src/ or in the acceptance tests; a field
+    # nothing reads is state the package carries for no one.
+    root = Path(spde_lab.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))]
+    fields = [field for tree in trees for field in _record_fields(tree)]
+    trees.append(ast.parse((Path(__file__).parent / "test_acceptance.py").read_text()))
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [f"{cls}.{name}" for cls, name in fields if name not in read]
+    assert fields and not unread, unread
+
+
 def _pool_constructions(tree) -> list:
     """(enclosing function, keyword names) of each ProcessPoolExecutor call."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
