@@ -232,7 +232,6 @@ def simulate_energy_ensemble(
     stream: RandomStream,
     *,
     workers: int = 1,
-    block_size: int = 128,
 ) -> EnergyEnsemble:
     """Statistics of ||u(t_k)||^2 across an ensemble, reduced with
     :func:`~spde_lab.montecarlo.pairwise_stats`.
@@ -245,7 +244,7 @@ def simulate_energy_ensemble(
     if samples < 2:
         raise ValueError("need at least two samples")
     fn = partial(trace_block, prob, grid, stream)
-    e2, diverged = map_blocks(fn, samples, workers=workers, block_size=block_size)
+    e2, diverged = map_blocks(fn, samples, workers=workers)
     return EnergyEnsemble(pairwise_stats(e2), int(np.sum(diverged >= 0)))
 
 

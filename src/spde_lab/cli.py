@@ -35,6 +35,7 @@ import numpy as np
 from . import burgers, heat, lyapunov, wave, wiener
 from .hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector, correlation_kernel
 from .montecarlo import (
+    CHUNK_BYTES,
     RandomStream,
     Report,
     compare,
@@ -190,30 +191,6 @@ def _checkpoints(steps: int) -> list[int]:
     return sorted({max(1, round(j * steps / 5)) for j in range(1, 6)})
 
 
-# Bytes of random draws one block may hold.
-_BLOCK_BYTES = 64 << 20
-
-
-def _block_size(bytes_per_sample: int) -> int:
-    """Samples per block: at most 128, and at most ``_BLOCK_BYTES`` (64 MiB)
-    of ``bytes_per_sample``, one sample's cost for the block layout.
-
-    A sample whose cost alone exceeds the budget gets a block of its own.
-    Wiener's cost, 8 x steps x N, is its whole-path draws, which a block
-    holds.  Heat's equal 8 x steps x N bounds its [steps+1, N] coefficient
-    array, not its draws, which are [steps].  Wave's 16 x steps x N is its
-    whole-path draws, but a wave block draws one time slice of about
-    ``montecarlo.CHUNK_BYTES`` at a time, so the budget does not bound its
-    memory: a 64-mode, 2000-step block peaks at 19.7 MiB under tracemalloc
-    with 32 samples and 21.9 MiB with 128.  What it sets is the slice
-    length, CHUNK_BYTES / (8 N batch) steps: at N = 64 a 128-sample block
-    makes four times the generator calls of a 32-sample one.  A pure
-    function of the configuration, so outputs stay byte-identical across
-    worker counts and reruns.
-    """
-    return max(1, min(128, _BLOCK_BYTES // bytes_per_sample))
-
-
 def _unit_or_zero(n_modes: int, mode: int) -> HilbertVector:
     if mode == 0:
         return HilbertVector(np.zeros(n_modes))
@@ -263,27 +240,31 @@ def _mc_columns(values, mean_name: str) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _wiener_block(spec, basis, grid, pairs, k_t, k_s, stream, start, stop):
+def _wiener_block(spec, basis, grid, pairs, k_s, stream, start, stop):
     """Per-sample wiener summaries: ||W_T||^2 / T, <W_T, a> with a the unit
-    vector of equal entries, then <W_t, a><W_s, b> for each pair (a, b), then
-    ||W_t||^2 at every grid time."""
-    inc = wiener.sample_increments_block(spec, basis, grid, stream, start, stop)
-    paths = np.concatenate(
-        [np.zeros((inc.shape[0], 1, inc.shape[2])), np.cumsum(inc, axis=1)], axis=1
-    )
-    coeff = np.sqrt(spec.eigenvalues) * paths
-    norm2 = np.sum(coeff**2, axis=2)
-    vec_a = np.full((coeff.shape[2], 1), 1.0 / np.sqrt(coeff.shape[2]))
-    cols = [norm2[:, -1:] / grid.t_final, coeff[:, -1, :] @ vec_a]
-    cols += [((coeff[:, k_t, :] @ a) * (coeff[:, k_s, :] @ b))[:, np.newaxis] for a, b in pairs]
+    vector of equal entries, then <W_T, a><W_s, b> for each pair (a, b) with
+    s the time of grid index ``k_s``, then ||W_t||^2 at every grid time.
+
+    The increments arrive in time slices of about ``CHUNK_BYTES``, so the
+    block keeps only the norms and the coefficients at s and T.
+    """
+    batch, n = stop - start, basis.n_modes
+    rows = max(1, CHUNK_BYTES // (8 * batch * n))
+    sqrt_q = np.sqrt(spec.eigenvalues)
+    norm2 = np.empty((batch, grid.steps + 1))
+    kept, done = {}, 0
+    for inc in stream.block_chunks(start, stop, (grid.steps, n), rows):
+        inc *= np.sqrt(grid.dt)
+        paths = wiener.running_sums(inc, paths[:, -1] if done else None)
+        done += inc.shape[1]
+        r0 = done + 1 - paths.shape[1]  # paths holds grid rows r0..done
+        coeff = sqrt_q * paths
+        norm2[:, r0 : done + 1] = np.sum(coeff**2, axis=2)
+        kept |= {k: coeff[:, k - r0] for k in (k_s, grid.steps) if r0 <= k <= done}
+    final = kept[grid.steps]
+    cols = [norm2[:, -1:] / grid.t_final, final @ np.full((n, 1), 1.0 / np.sqrt(n))]
+    cols += [((final @ a) * (kept[k_s] @ b))[:, np.newaxis] for a, b in pairs]
     return np.concatenate(cols + [norm2], axis=1)
-
-
-def _heat_rows(prob, grid, stream, start, stop, keep):
-    """Heat coefficients at grid rows ``keep`` and no further columns, in
-    the call shape of ``wave.simulate_block``."""
-    _, u = heat.simulate_block(prob, grid, stream, start, stop)
-    return u[:, keep], np.empty((stop - start, 0))
 
 
 def _field_block(simulate, prob, grid, basis_vals, means, pair_idx, stream, start, stop):
@@ -292,8 +273,9 @@ def _field_block(simulate, prob, grid, basis_vals, means, pair_idx, stream, star
     checkpoint pair, then the further columns of ``simulate``.
 
     ``simulate`` is ``wave.simulate_block`` (energies at every step) or
-    :func:`_heat_rows`: it returns u at the checkpoints and the final step
-    only.  ``means`` maps each checkpoint index to its mean coefficients.
+    ``heat.simulate_block`` (none): with ``keep`` it returns u at the
+    checkpoints and the final step only.  ``means`` maps each checkpoint
+    index to its mean coefficients.
     """
     keep = sorted({*means, grid.steps})
     u, extra = simulate(prob, grid, stream, start, stop, keep)
@@ -312,8 +294,8 @@ def _field_plan(grid: wiener.TimeGrid, mean):
     return means, [(k[-1], k[len(k) // 2]), (k[-1], k[0]), (k[len(k) // 2], k[0])]
 
 
-def _field_experiment(cfg, grid, prob, simulate, bytes_per_sample, x_points, mean, variance,
-                      covariance, correlation=None):
+def _field_experiment(cfg, grid, prob, simulate, x_points, mean, variance, covariance,
+                      correlation=None):
     """Per-sample :func:`_field_block` values of a wave or heat field and
     their checks: ``mean_x*`` at the final time, ``variance`` at each
     checkpoint and ``covariance_s=*`` for each checkpoint pair, each followed
@@ -325,9 +307,7 @@ def _field_experiment(cfg, grid, prob, simulate, bytes_per_sample, x_points, mea
     basis_vals = prob.basis.evaluate(np.asarray(x_points))
     stream = RandomStream(cfg["seed"]).child(0)
     fn = partial(_field_block, simulate, prob, grid, basis_vals, means, pair_idx, stream)
-    values = map_blocks(
-        fn, cfg["samples"], workers=cfg["workers"], block_size=_block_size(bytes_per_sample)
-    )
+    values = map_blocks(fn, cfg["samples"], workers=cfg["workers"])
 
     n_x, n_k = len(x_points), len(means)
     var_cols = dict(zip(means, values[:, n_x : n_x + n_k].T))
@@ -383,14 +363,10 @@ def _run_wiener(cfg: dict) -> tuple[Report, dict]:
         pairs.append((a / np.linalg.norm(a), b / np.linalg.norm(b)))
     x_probe, y_probe = 0.3 * cfg["l"], 0.7 * cfg["l"]
     probe = (basis.evaluate(x_probe), basis.evaluate(y_probe))
-    k_t, k_s = grid.steps, max(1, grid.steps // 2)
+    k_s = max(1, grid.steps // 2)
 
-    fn = partial(
-        _wiener_block, spec, basis, grid, pairs + [probe], k_t, k_s, stream.child(0)
-    )
-    values = map_blocks(
-        fn, cfg["samples"], workers=cfg["workers"], block_size=_block_size(8 * grid.steps * n)
-    )
+    fn = partial(_wiener_block, spec, basis, grid, pairs + [probe], k_s, stream.child(0))
+    values = map_blocks(fn, cfg["samples"], workers=cfg["workers"])
 
     t_final = grid.t_final
     m = min(t_final, grid.times[k_s])
@@ -427,8 +403,7 @@ def _run_wave(cfg: dict) -> tuple[Report, dict]:
         f, g, wave_speed=cfg["c"], length=cfg["l"], epsilon=cfg["epsilon"], spectrum=spec
     )
     values, checks = _field_experiment(
-        cfg, grid, prob, wave.simulate_block, 16 * grid.steps * n,
-        [i * cfg["l"] / 6 for i in range(1, 6)],
+        cfg, grid, prob, wave.simulate_block, [i * cfg["l"] / 6 for i in range(1, 6)],
         *(partial(fn, prob) for fn in (
             wave.mean_coefficients, wave.variance_closed_form, wave.covariance_closed_form
         )),
@@ -463,7 +438,7 @@ def _run_heat(cfg: dict) -> tuple[Report, dict]:
     grid = _grid(cfg)
     prob = heat.HeatProblem(cfg["epsilon"], _unit_or_zero(cfg["modes"], cfg["init-mode"]).coeffs)
     _, checks = _field_experiment(
-        cfg, grid, prob, _heat_rows, 8 * grid.steps * prob.n_modes, [0.25, 0.5, 0.75],
+        cfg, grid, prob, heat.simulate_block, [0.25, 0.5, 0.75],
         *(partial(fn, prob) for fn in (
             heat.mean_closed_form, heat.variance_closed_form, heat.covariance_closed_form,
             heat.correlation_closed_form,
@@ -490,7 +465,11 @@ def _run_lyapunov(cfg: dict) -> tuple[Report, dict]:
     det = lyapunov.exponent_deterministic(prob)
     stoch = lyapunov.exponent_stochastic(prob)
     stream = RandomStream(cfg["seed"]).child(0)
-    estimate = lyapunov.estimate_from_path(prob, grid, stream, cfg["t-burn"])
+    try:
+        estimate = lyapunov.estimate_from_path(prob, grid, stream, cfg["t-burn"])
+    except ValueError as exc:
+        raise ConfigError(f"no fit window from --t-burn {cfg['t-burn']:g} to --t-final "
+                          f"{cfg['t-final']:g} at --dt {cfg['dt']:g}: {exc}") from exc
 
     if cfg["gamma"] != 0:
         stderr = estimate.stderr

@@ -17,7 +17,7 @@ import numpy as np
 
 from .hilbert import DirichletBasis, HilbertVector
 from .montecarlo import RandomStream
-from .wiener import TimeGrid
+from .wiener import TimeGrid, running_sums
 
 
 @dataclass(frozen=True)
@@ -52,21 +52,25 @@ class HeatProblem:
 
 
 def simulate_block(
-    prob: HeatProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int
+    prob: HeatProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int, keep=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar paths [batch, steps+1] and coefficients [batch, steps+1, N]
-    of samples [start, stop), exact in distribution at the grid points.
+    """Scalar paths and coefficients of samples [start, stop), exact in
+    distribution at the grid points.
 
     Sample i draws from ``stream.child(i)``, so results are independent of
-    how the index range is sharded across workers.
+    how the index range is sharded across workers.  Without ``keep``,
+    returns the paths w [batch, steps+1] and the coefficients u
+    [batch, steps+1, N].  With grid indices ``keep``, returns ``u[:, keep]``,
+    formed at those rows only, and an empty [batch, 0] array, in the call
+    shape of ``wave.simulate_block``.
     """
-    draws = stream.block_normals(start, stop, grid.steps)
-    w = np.zeros((draws.shape[0], grid.steps + 1))
-    np.cumsum(np.sqrt(grid.dt) * draws, axis=1, out=w[:, 1:])
+    rows = slice(None) if keep is None else grid.indices(keep)
+    w = running_sums(np.sqrt(grid.dt) * stream.block_normals(start, stop, grid.steps))
     exponent = (
-        prob.drift_rates * grid.times[:, np.newaxis] + prob.epsilon * w[:, :, np.newaxis]
+        prob.drift_rates * grid.times[rows, np.newaxis] + prob.epsilon * w[:, rows, np.newaxis]
     )
-    return w, prob.init_coeffs * np.exp(exponent)
+    u = prob.init_coeffs * np.exp(exponent)
+    return (w, u) if keep is None else (u, np.empty((stop - start, 0)))
 
 
 def mean_closed_form(prob: HeatProblem, t: float) -> HilbertVector:

@@ -27,6 +27,10 @@ Z_THRESHOLD = 3.0
 # one column group of pairwise_stats: bounded by this, not by the ensemble.
 CHUNK_BYTES = 1 << 20
 
+# Samples per block of map_blocks.  The block layout, and so every output
+# bit, depends on it and the sample count alone.
+BLOCK_SIZE = 128
+
 
 @dataclass(frozen=True)
 class RandomStream:
@@ -339,11 +343,11 @@ def _one_blas_thread():
             _set_blas_threads(before)
 
 
-def map_blocks(fn, n_samples: int, *, workers: int = 1, block_size: int = 128):
+def map_blocks(fn, n_samples: int, *, workers: int = 1):
     """Evaluate ``fn(start, stop)`` over canonical sample blocks.
 
-    Blocks are consecutive index ranges of fixed size; the layout depends
-    only on ``n_samples`` and ``block_size``, never on ``workers``, so the
+    Blocks are consecutive index ranges of ``BLOCK_SIZE`` samples; the
+    layout depends only on ``n_samples``, never on ``workers``, so the
     assembled output is identical for any worker count.  ``fn`` must be
     picklable when ``workers > 1`` and may return one array or a tuple of
     arrays (each with the sample axis first).  Each block's output is
@@ -358,8 +362,8 @@ def map_blocks(fn, n_samples: int, *, workers: int = 1, block_size: int = 128):
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    starts = range(0, n_samples, block_size)
-    stops = [min(s + block_size, n_samples) for s in starts]
+    starts = range(0, n_samples, BLOCK_SIZE)
+    stops = [min(s + BLOCK_SIZE, n_samples) for s in starts]
     workers = min(workers, len(starts))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import

@@ -24,7 +24,7 @@ import numpy as np
 
 from .hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector
 from .montecarlo import CHUNK_BYTES, RandomStream
-from .wiener import TimeGrid
+from .wiener import TimeGrid, running_sums
 
 # Schur complements below this relative size collapse to a rank-1 factor.
 _CHOLESKY_PIVOT_TOL = 1e-14
@@ -126,11 +126,10 @@ def _chunks(prob: WaveProblem, grid: TimeGrid, draw_chunks):
     ``draw_chunks`` yields consecutive slices [batch, r, N, 2] of the
     per-step draws.  Yields ``(r0, u, v)`` for the grid rows from ``r0`` up
     to the last one a slice completes (the first slice also carries row 0),
-    so no array spans the whole grid unless one slice covers it.  A slice
-    continues the running integrals of the one before by adding the carried
-    integral into its first increment before the cumulative sum: every
-    addition happens in the order of one cumulative sum over all steps, so
-    the values do not depend on the slicing.
+    so no array spans the whole grid unless one slice covers it.  The
+    running integrals continue from slice to slice through
+    :func:`~spde_lab.wiener.running_sums`, so the values do not depend on
+    the slicing.
     """
     l11, l21, l22 = _increment_cholesky(prob, grid)
     mu = prob.angular_freqs
@@ -140,21 +139,13 @@ def _chunks(prob: WaveProblem, grid: TimeGrid, draw_chunks):
     a = 0
     for z in draw_chunks:
         # Increments a..b-1 complete grid rows a+1..b; row 0 is zero.
-        batch, r, n, _ = z.shape
-        b = a + r
+        b = a + z.shape[1]
         d_sin = l11[a:b] * z[..., 0]
         d_cos = l21[a:b] * z[..., 0] + l22[a:b] * z[..., 1]
-        if a > 0:
-            d_sin[:, 0] += carry_sin
-            d_cos[:, 0] += carry_cos
-        lead = 1 if a == 0 else 0
-        i_sin = np.zeros((batch, lead + r, n))
-        i_cos = np.zeros((batch, lead + r, n))
-        np.cumsum(d_sin, axis=1, out=i_sin[:, lead:])
-        np.cumsum(d_cos, axis=1, out=i_cos[:, lead:])
-        carry_sin, carry_cos = i_sin[:, -1], i_cos[:, -1]
+        i_sin = running_sums(d_sin, i_sin[:, -1] if a else None)
+        i_cos = running_sums(d_cos, i_cos[:, -1] if a else None)
 
-        r0 = a + 1 - lead
+        r0 = b + 1 - i_sin.shape[1]
         c, s = cos_p[r0 : b + 1], sin_p[r0 : b + 1]
         p = prob.cos_amps - gain * i_sin
         q = prob.sin_amps + gain * i_cos
@@ -184,9 +175,7 @@ def simulate_block(
         draws = stream.block_normals(start, stop, shape)
         _, u, v = next(_chunks(prob, grid, [draws]))
         return u, v
-    keep = np.asarray(keep, dtype=int)
-    if np.any((keep < 0) | (keep > grid.steps)):
-        raise ValueError("keep indices must lie in 0..steps")
+    keep = grid.indices(keep)
     batch = stop - start
     rows = max(1, CHUNK_BYTES // (8 * batch * prob.n_modes))
     u_keep = np.empty((batch, keep.size, prob.n_modes))

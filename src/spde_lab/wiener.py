@@ -39,6 +39,13 @@ class TimeGrid:
     def t_final(self) -> float:
         return self.t0 + self.dt * self.steps
 
+    def indices(self, keep) -> np.ndarray:
+        """Grid indices ``keep`` as an int array; ValueError outside 0..steps."""
+        keep = np.asarray(keep, dtype=int)
+        if np.any((keep < 0) | (keep > self.steps)):
+            raise ValueError("keep indices must lie in 0..steps")
+        return keep
+
 
 def sample_increments_block(
     spectrum: CovarianceSpectrum,
@@ -60,4 +67,19 @@ def sample_increments_block(
         raise ValueError("spectrum and basis must share the number of modes")
     out = stream.block_normals(start, stop, (grid.steps, basis.n_modes))
     out *= np.sqrt(grid.dt)
+    return out
+
+
+def running_sums(increments: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+    """Running sums along axis 1 of a time slice of increments [batch, r, ...]:
+    r + 1 rows from zero for the first slice (``carry`` None), else r rows
+    from ``carry``, the last sum of the slice before.  The carry is added
+    into the first increment before the cumulative sum, so every addition
+    happens in the order of one sum over all steps: slicing moves no bit.
+    """
+    lead = carry is None
+    if not lead:
+        increments[:, 0] += carry
+    out = np.zeros((increments.shape[0], lead + increments.shape[1], *increments.shape[2:]))
+    np.cumsum(increments, axis=1, out=out[:, lead:])
     return out

@@ -252,11 +252,12 @@ def test_refinement_stability():
     assert abs(e2_fine - e2_coarse) / e2_fine < 0.05
 
 
-def test_ensemble_worker_invariance():
+def test_ensemble_worker_invariance(monkeypatch):
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 32)
     prob = _additive(nu=0.25, sigma=0.5)
     grid = TimeGrid(0, 1e-3, 100)
     runs = {
-        w: simulate_energy_ensemble(prob, grid, 96, RandomStream(11), workers=w, block_size=32)
+        w: simulate_energy_ensemble(prob, grid, 96, RandomStream(11), workers=w)
         for w in (1, 2, 8)
     }
     for w in (2, 8):
@@ -276,7 +277,7 @@ def test_ensemble_bytes_independent_of_blas_threads():
     spec = CovarianceSpectrum.parse("power:2", 64)
     prob = BurgersProblem(0.05, 1.0, 1.0, AdditiveNoise(spec), HilbertVector.unit(64, 1, 2.0).coeffs)
     grid = TimeGrid(0, 1e-3, 100)
-    run = partial(simulate_energy_ensemble, prob, grid, 244, RandomStream(11), block_size=128)
+    run = partial(simulate_energy_ensemble, prob, grid, 244, RandomStream(11))
     before = montecarlo._set_blas_threads(1)
     try:
         want = run()

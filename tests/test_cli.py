@@ -5,15 +5,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spde_lab
-from spde_lab import cli, lyapunov, wave
+from spde_lab import cli, heat, lyapunov, wave, wiener
 from spde_lab.cli import run
-from spde_lab.hilbert import CovarianceSpectrum, HilbertVector
+from spde_lab.hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector
 from spde_lab.montecarlo import RandomStream
 from spde_lab.wiener import TimeGrid
 
@@ -271,6 +272,21 @@ def test_lyapunov_stderr_uses_fitted_span(tmp_path, capsys):
     assert float(row["mc_stderr"]) == pytest.approx(math.sqrt(1.2 / 4.4975), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "window, flags",
+    [
+        (["--t-burn", "20", "--t-final", "10"], ["--t-burn", "--t-final"]),
+        (["--t-burn", "9.999", "--t-final", "10"], ["--t-burn", "--t-final", "--dt"]),
+    ],
+)
+def test_lyapunov_window_error_names_flags(tmp_path, capsys, window, flags):
+    code = run(["lyapunov", *window, "--out", str(tmp_path / "lyap")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert all(flag in err for flag in flags)
+
+
 def test_wiener_run_passes(tmp_path, capsys):
     out = tmp_path / "wiener"
     code = run(
@@ -355,29 +371,67 @@ def test_wave_diagnostic_energy_row_not_gating(tmp_path, capsys):
     assert summary["all-passed"] is True
 
 
-def test_wave_block_memory_within_stated_bound():
-    # The _block_size docstring: a 64-mode, 2000-step wave block peaks
-    # below 3/8 x _BLOCK_BYTES.
-    n, steps = 64, 2000
-    grid = TimeGrid(0.0, 0.001, steps)
-    prob = wave.WaveProblem.from_initial_conditions(
+def _field_kernel(simulate, mean, prob, grid):
+    means, pair_idx = cli._field_plan(grid, partial(mean, prob))
+    basis_vals = prob.basis.evaluate(np.array([0.25, 0.5, 0.75]))
+    return partial(cli._field_block, simulate, prob, grid, basis_vals, means, pair_idx)
+
+
+def _wiener_kernel(n, grid):
+    spec = CovarianceSpectrum.parse("power:2", n)
+    vecs = np.random.default_rng(1).standard_normal((8, n))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    pairs = list(zip(vecs[0::2], vecs[1::2]))
+    return partial(cli._wiener_block, spec, DirichletBasis(1.0, n), grid, pairs, grid.steps // 2)
+
+
+def _kernels(n, grid):
+    wave_prob = wave.WaveProblem.from_initial_conditions(
         HilbertVector.unit(n, 1), HilbertVector(np.zeros(n)), wave_speed=1.0,
         length=1.0, epsilon=1.0, spectrum=CovarianceSpectrum.parse("power:2", n),
     )
-    means, pair_idx = cli._field_plan(grid, lambda t: wave.mean_coefficients(prob, t))
-    basis_vals = prob.basis.evaluate(np.array([0.25, 0.5, 0.75]))
-    batch = cli._block_size(16 * steps * n)
-    assert batch == 32
+    heat_prob = heat.HeatProblem(0.5, HilbertVector.unit(n, 1).coeffs)
+    return {
+        "wave": _field_kernel(wave.simulate_block, wave.mean_coefficients, wave_prob, grid),
+        "heat": _field_kernel(heat.simulate_block, heat.mean_closed_form, heat_prob, grid),
+        "wiener": _wiener_kernel(n, grid),
+    }
+
+
+@pytest.mark.parametrize("kernel", ["wave", "heat", "wiener"])
+def test_block_memory_within_stated_bound(kernel):
+    # A 64-mode, 2000-step block of 128 samples peaks below 24 MiB: no
+    # kernel holds a [batch, steps, N] array, which would take 131 MB.
+    n, steps, batch = 64, 2000, 128
+    fn = _kernels(n, TimeGrid(0.0, 0.001, steps))[kernel]
     tracemalloc.start()
     try:
-        values = cli._field_block(
-            wave.simulate_block, prob, grid, basis_vals, means, pair_idx, RandomStream(3), 0, batch
-        )
+        values = fn(RandomStream(3), 0, batch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert values.shape[0] == batch
-    assert peak <= 3 / 8 * cli._BLOCK_BYTES
+    assert peak <= 24 << 20
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 40])
+def test_wiener_block_independent_of_chunk_rows(monkeypatch, rows):
+    # Increments arrive in slices of `rows` steps (one at a time up to one
+    # slice of all 40); each equals the whole-path formula on
+    # sample_increments_block bit for bit.
+    n, batch = 6, 5
+    grid = TimeGrid(0, 0.01, 40)
+    fn = _wiener_kernel(n, grid)
+    spec, basis, _, pairs, k_s = fn.args
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 8 * batch * n * rows)
+    got = fn(RandomStream(14), 3, 3 + batch)
+    inc = wiener.sample_increments_block(spec, basis, grid, RandomStream(14), 3, 3 + batch)
+    paths = np.concatenate([np.zeros((batch, 1, n)), np.cumsum(inc, axis=1)], axis=1)
+    coeff = np.sqrt(spec.eigenvalues) * paths
+    norm2 = np.sum(coeff**2, axis=2)
+    cols = [norm2[:, -1:] / grid.t_final, coeff[:, -1, :] @ np.full((n, 1), 1 / np.sqrt(n))]
+    cols += [((coeff[:, -1] @ a) * (coeff[:, k_s] @ b))[:, np.newaxis] for a, b in pairs]
+    assert np.array_equal(got, np.concatenate(cols + [norm2], axis=1))
 
 
 # Runs every subcommand through cli.run in a fresh interpreter (this test

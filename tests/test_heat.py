@@ -35,6 +35,22 @@ def test_sample_is_exact_transform_of_path():
     assert w[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("keep", [[0], [3], [1, 4, 6], [0, 2, 6], list(range(7))])
+def test_simulate_block_keep_matches_full_coefficients(keep):
+    prob = HeatProblem(0.7, [0.5, -0.2, 0.1])
+    grid = TimeGrid(0.0, 0.05, 6)
+    u_keep, extra = simulate_block(prob, grid, RandomStream(5), 3, 10, keep)
+    _, u = simulate_block(prob, grid, RandomStream(5), 3, 10)
+    assert np.array_equal(u_keep, u[:, keep])
+    assert extra.shape == (7, 0)
+
+
+@pytest.mark.parametrize("keep", [[7], [-1], [0, 7]])
+def test_simulate_block_rejects_keep_outside_grid(keep):
+    with pytest.raises(ValueError):
+        simulate_block(SINGLE, TimeGrid(0.0, 0.05, 6), RandomStream(1), 0, 2, keep)
+
+
 def test_zero_noise_is_deterministic_decay():
     prob = HeatProblem(0.0, [1.0, -0.5, 0.2])
     grid = TimeGrid(0, 0.02, 10)

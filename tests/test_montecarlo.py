@@ -310,10 +310,11 @@ def test_pairwise_stats_reduces_columns_without_copying_the_input():
     assert np.array_equal(stats.m2, [c.m2 for c in columns])
 
 
-def test_map_blocks_order_and_block_invariance():
-    out = map_blocks(_block_identity, 300, block_size=64)
+def test_map_blocks_order_and_block_invariance(monkeypatch):
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 64)
+    out = map_blocks(_block_identity, 300)
     np.testing.assert_array_equal(out[:, 0], np.arange(300.0) ** 2)
-    out_workers = map_blocks(_block_identity, 300, workers=4, block_size=64)
+    out_workers = map_blocks(_block_identity, 300, workers=4)
     np.testing.assert_array_equal(out, out_workers)
 
 
@@ -322,20 +323,20 @@ def _block_pair(start, stop):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_map_blocks_matches_concatenated_blocks(workers):
+def test_map_blocks_matches_concatenated_blocks(monkeypatch, workers):
     # 300 samples in blocks of 64 end in a ragged block of 44.
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 64)
     parts = [_block_pair(a, min(a + 64, 300)) for a in range(0, 300, 64)]
-    values, flags = map_blocks(_block_pair, 300, workers=workers, block_size=64)
+    values, flags = map_blocks(_block_pair, 300, workers=workers)
     for got, pieces in zip((values, flags), zip(*parts)):
         want = np.concatenate(pieces)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(map_blocks(_block_identity, 300, workers=workers, block_size=64), values)
+    assert np.array_equal(map_blocks(_block_identity, 300, workers=workers), values)
 
 
-def test_map_blocks_worker_invariance_bitwise():
-    vals = {
-        w: map_blocks(_sample_values, 200, workers=w, block_size=32) for w in (1, 2, 8)
-    }
+def test_map_blocks_worker_invariance_bitwise(monkeypatch):
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 32)
+    vals = {w: map_blocks(_sample_values, 200, workers=w) for w in (1, 2, 8)}
     assert np.array_equal(vals[1], vals[2])
     assert np.array_equal(vals[1], vals[8])
     stats = pairwise_stats(vals[1])
@@ -371,8 +372,8 @@ def test_map_blocks_caps_pool_at_blocks(monkeypatch, samples, workers, pool_size
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    block_size = 128 if samples == 96 else 64
-    out = map_blocks(_block_identity, samples, workers=workers, block_size=block_size)
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 128 if samples == 96 else 64)
+    out = map_blocks(_block_identity, samples, workers=workers)
     assert np.array_equal(out[:, 0], np.arange(samples, dtype=float) ** 2)
     if pool_size is None:
         assert calls == []
@@ -385,8 +386,9 @@ def test_map_blocks_caps_pool_at_blocks(monkeypatch, samples, workers, pool_size
 
 def test_blas_thread_policy_is_noop_without_the_library(monkeypatch):
     monkeypatch.setattr(montecarlo, "_openblas", lambda: None)
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 64)
     assert montecarlo._set_blas_threads(1) is None
-    out = map_blocks(_block_identity, 300, block_size=64)
+    out = map_blocks(_block_identity, 300)
     assert np.array_equal(out[:, 0], np.arange(300.0) ** 2)
 
 
@@ -396,12 +398,13 @@ def _blas_threads_block(start, stop):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_map_blocks_runs_blocks_on_one_blas_thread(workers):
+def test_map_blocks_runs_blocks_on_one_blas_thread(monkeypatch, workers):
     if montecarlo._openblas() is None:
         pytest.skip("numpy's bundled OpenBLAS was not found")
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 64)
     before = montecarlo._set_blas_threads(2)
     try:
-        counts = map_blocks(_blas_threads_block, 300, workers=workers, block_size=64)
+        counts = map_blocks(_blas_threads_block, 300, workers=workers)
         assert np.all(counts == 1)
         assert montecarlo._openblas()[0]() == 2
     finally:
