@@ -21,14 +21,13 @@ constant of the interval.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .hilbert import CovarianceSpectrum, DirichletBasis
-from .montecarlo import CHUNK_BYTES, EnsembleStats, RandomStream, map_blocks, pairwise_stats
+from .montecarlo import EnsembleStats, RandomStream, map_blocks, pairwise_stats
 from .wiener import TimeGrid
 
 # Abort a sample once ||u||^2 exceeds this multiple of its natural scale.
@@ -217,12 +216,11 @@ def trace_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Energy traces for samples [start, stop), keyed by sample index.
 
-    The draws arrive in time slices of about ``CHUNK_BYTES``, so the block
-    never holds all of them at once.
+    The draws arrive in the time slices of ``RandomStream.block_chunks``,
+    so the block never holds all of them at once.
     """
-    shape = _draw_shape(prob, grid)
-    rows = max(1, CHUNK_BYTES // (8 * (stop - start) * math.prod(shape[1:])))
-    return _evolve_block(prob, grid, stop - start, stream.block_chunks(start, stop, shape, rows))
+    draws = stream.block_chunks(start, stop, _draw_shape(prob, grid))
+    return _evolve_block(prob, grid, stop - start, draws)
 
 
 def simulate_energy_ensemble(

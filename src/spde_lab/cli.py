@@ -35,9 +35,9 @@ import numpy as np
 from . import burgers, heat, lyapunov, wave, wiener
 from .hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector, correlation_kernel
 from .montecarlo import (
-    CHUNK_BYTES,
     RandomStream,
     Report,
+    _set_blas_threads,
     compare,
     map_blocks,
     pairwise_stats,
@@ -174,8 +174,8 @@ def _resolve_config(argv: list[str]) -> dict:
 
 def _require_positive(cfg: dict, *names: str) -> None:
     for name in names:
-        if not cfg[name] > 0:
-            raise ConfigError(f"--{name} must be positive (got {cfg[name]})")
+        if not 0 < cfg[name] < np.inf:
+            raise ConfigError(f"--{name} must be positive and finite (got {cfg[name]})")
 
 
 def _grid(cfg: dict) -> wiener.TimeGrid:
@@ -183,7 +183,7 @@ def _grid(cfg: dict) -> wiener.TimeGrid:
     steps = round(cfg["t-final"] / cfg["dt"])
     if steps < 1 or abs(steps * cfg["dt"] - cfg["t-final"]) > 1e-9 * cfg["t-final"]:
         raise ConfigError("--t-final must be an integer multiple of --dt")
-    return wiener.TimeGrid(0.0, cfg["dt"], steps)
+    return wiener.TimeGrid(cfg["dt"], steps)
 
 
 def _checkpoints(steps: int) -> list[int]:
@@ -245,22 +245,20 @@ def _wiener_block(spec, basis, grid, pairs, k_s, stream, start, stop):
     vector of equal entries, then <W_T, a><W_s, b> for each pair (a, b) with
     s the time of grid index ``k_s``, then ||W_t||^2 at every grid time.
 
-    The increments arrive in time slices of about ``CHUNK_BYTES``, so the
-    block keeps only the norms and the coefficients at s and T.
+    The increments arrive in the time slices of ``RandomStream.block_chunks``,
+    so the block keeps only the norms and the coefficients at s and T.
     """
-    batch, n = stop - start, basis.n_modes
-    rows = max(1, CHUNK_BYTES // (8 * batch * n))
+    n = basis.n_modes
     sqrt_q = np.sqrt(spec.eigenvalues)
-    norm2 = np.empty((batch, grid.steps + 1))
-    kept, done = {}, 0
-    for inc in stream.block_chunks(start, stop, (grid.steps, n), rows):
-        inc *= np.sqrt(grid.dt)
-        paths = wiener.running_sums(inc, paths[:, -1] if done else None)
-        done += inc.shape[1]
-        r0 = done + 1 - paths.shape[1]  # paths holds grid rows r0..done
+    norm2 = np.empty((stop - start, grid.steps + 1))
+    kept = {}
+    draws = stream.block_chunks(start, stop, (grid.steps, n))
+    increments = (np.multiply(z, np.sqrt(grid.dt), out=z) for z in draws)
+    for r0, paths in wiener.running_sums(increments):
+        r1 = r0 + paths.shape[1]
         coeff = sqrt_q * paths
-        norm2[:, r0 : done + 1] = np.sum(coeff**2, axis=2)
-        kept |= {k: coeff[:, k - r0] for k in (k_s, grid.steps) if r0 <= k <= done}
+        norm2[:, r0:r1] = np.sum(coeff**2, axis=2)
+        kept |= {k: coeff[:, k - r0] for k in (k_s, grid.steps) if r0 <= k < r1}
     final = kept[grid.steps]
     cols = [norm2[:, -1:] / grid.t_final, final @ np.full((n, 1), 1.0 / np.sqrt(n))]
     cols += [((final @ a) * (kept[k_s] @ b))[:, np.newaxis] for a, b in pairs]
@@ -616,6 +614,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # The CLI makes no threaded BLAS call: at one thread from the start, no
+    # pooled map_blocks restarts OpenBLAS's thread server when it restores.
+    _set_blas_threads(1)
     sys.exit(run())
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 Z_THRESHOLD = 3.0
 
-# Bytes of one time slice of a block ([batch, rows, n_modes] float64) and of
-# one column group of pairwise_stats: bounded by this, not by the ensemble.
+# Bytes of one time slice of a block's draws (RandomStream.block_chunks) and
+# of one column group of pairwise_stats: bounded by this, not by the ensemble.
 CHUNK_BYTES = 1 << 20
 
 # Samples per block of map_blocks.  The block layout, and so every output
@@ -55,17 +55,18 @@ class RandomStream:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(seq))
 
-    def block_chunks(self, start: int, stop: int, shape, rows: int):
-        """Draws of samples [start, stop) in time slices of ``rows`` rows.
+    def block_chunks(self, start: int, stop: int, shape):
+        """Draws of samples [start, stop) in time slices of about ``CHUNK_BYTES``.
 
         ``shape`` is one sample's draw shape, time axis first.  Yields
-        arrays ``[stop - start, r, *shape[1:]]`` with r = ``rows`` (fewer in
-        the last slice); concatenated along axis 1 they equal
-        :meth:`block_normals` bit for bit, because each sample's generator
-        continues its stream from one slice to the next.  This is the one
+        arrays ``[stop - start, r, *shape[1:]]`` whose r rows fill
+        ``CHUNK_BYTES`` (at least one row; fewer in the last slice), read at
+        call time.  Each sample's generator continues its stream from one
+        slice to the next, so the slicing moves no draw.  This is the one
         place where ensembles key samples to substreams.
         """
         steps, *rest = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+        rows = max(1, CHUNK_BYTES // (8 * max(1, (stop - start) * math.prod(rest))))
         gens = [self.child(i).generator() for i in range(start, stop)]
         for r0 in range(0, max(steps, 1), rows):
             out = np.empty((stop - start, min(rows, steps - r0), *rest))
@@ -77,11 +78,10 @@ class RandomStream:
         """Draws of shape ``[stop - start, *shape]`` for samples [start, stop).
 
         Row ``i - start`` holds ``child(i).generator().standard_normal(shape)``,
-        so a sample's draws do not depend on the block it falls in.  The
-        one-slice case of :meth:`block_chunks`.
+        so a sample's draws do not depend on the block it falls in: the
+        slices of :meth:`block_chunks`, joined along the time axis.
         """
-        steps = shape if np.ndim(shape) == 0 else shape[0]
-        return next(self.block_chunks(start, stop, shape, max(steps, 1)))
+        return np.concatenate(list(self.block_chunks(start, stop, shape)), axis=1)
 
 
 @dataclass

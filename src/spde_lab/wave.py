@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector
-from .montecarlo import CHUNK_BYTES, RandomStream
+from .montecarlo import RandomStream
 from .wiener import TimeGrid, running_sums
 
 # Schur complements below this relative size collapse to a rank-1 factor.
@@ -124,35 +124,34 @@ def _chunks(prob: WaveProblem, grid: TimeGrid, draw_chunks):
     """Evolve batched draws through the time grid, one time slice at a time.
 
     ``draw_chunks`` yields consecutive slices [batch, r, N, 2] of the
-    per-step draws.  Yields ``(r0, u, v)`` for the grid rows from ``r0`` up
-    to the last one a slice completes (the first slice also carries row 0),
-    so no array spans the whole grid unless one slice covers it.  The
-    running integrals continue from slice to slice through
-    :func:`~spde_lab.wiener.running_sums`, so the values do not depend on
-    the slicing.
+    per-step draws, which become the (dI_sin, dI_cos) increments in place.
+    Yields ``(r0, u, v)`` for the grid rows from ``r0`` that
+    :func:`~spde_lab.wiener.running_sums` completes with each slice, so no
+    array spans the whole grid unless one slice covers it, and the values
+    do not depend on the slicing.
     """
     l11, l21, l22 = _increment_cholesky(prob, grid)
     mu = prob.angular_freqs
     gain = prob.epsilon * np.sqrt(prob.spectrum.eigenvalues) / mu
     phase = mu * grid.times[:, np.newaxis]
     cos_p, sin_p = np.cos(phase), np.sin(phase)
-    a = 0
-    for z in draw_chunks:
-        # Increments a..b-1 complete grid rows a+1..b; row 0 is zero.
-        b = a + z.shape[1]
-        d_sin = l11[a:b] * z[..., 0]
-        d_cos = l21[a:b] * z[..., 0] + l22[a:b] * z[..., 1]
-        i_sin = running_sums(d_sin, i_sin[:, -1] if a else None)
-        i_cos = running_sums(d_cos, i_cos[:, -1] if a else None)
 
-        r0 = b + 1 - i_sin.shape[1]
-        c, s = cos_p[r0 : b + 1], sin_p[r0 : b + 1]
-        p = prob.cos_amps - gain * i_sin
-        q = prob.sin_amps + gain * i_cos
+    def increments(a=0):
+        for z in draw_chunks:  # the steps a..b-1
+            b = a + z.shape[1]
+            z[..., 1] = l21[a:b] * z[..., 0] + l22[a:b] * z[..., 1]
+            z[..., 0] *= l11[a:b]
+            yield z
+            a = b
+
+    for r0, i in running_sums(increments()):
+        r1 = r0 + i.shape[1]
+        c, s = cos_p[r0:r1], sin_p[r0:r1]
+        p = prob.cos_amps - gain * i[..., 0]
+        q = prob.sin_amps + gain * i[..., 1]
         u = p * c + q * s
         v = mu * (q * c - p * s)
         yield r0, u, v
-        a = b
 
 
 def simulate_block(
@@ -167,8 +166,8 @@ def simulate_block(
     (u_keep, energies) of shapes [batch, len(keep), n_modes] and
     [batch, steps+1], equal bit for bit to ``u[:, keep]`` and
     ``energy_block(prob, u, v)``; the draws and the time axis are then
-    walked in slices of about ``CHUNK_BYTES`` per [batch, rows, n_modes]
-    array, so the block holds no [batch, steps, n_modes] array.
+    walked in the time slices of ``RandomStream.block_chunks``, so the block
+    holds no [batch, steps, n_modes] array.
     """
     shape = (grid.steps, prob.n_modes, 2)
     if keep is None:
@@ -176,11 +175,9 @@ def simulate_block(
         _, u, v = next(_chunks(prob, grid, [draws]))
         return u, v
     keep = grid.indices(keep)
-    batch = stop - start
-    rows = max(1, CHUNK_BYTES // (8 * batch * prob.n_modes))
-    u_keep = np.empty((batch, keep.size, prob.n_modes))
-    energies = np.empty((batch, grid.steps + 1))
-    for r0, u, v in _chunks(prob, grid, stream.block_chunks(start, stop, shape, rows)):
+    u_keep = np.empty((stop - start, keep.size, prob.n_modes))
+    energies = np.empty((stop - start, grid.steps + 1))
+    for r0, u, v in _chunks(prob, grid, stream.block_chunks(start, stop, shape)):
         r1 = r0 + u.shape[1]
         energies[:, r0:r1] = energy_block(prob, u, v)
         inside = (keep >= r0) & (keep < r1)

@@ -17,15 +17,12 @@ from .montecarlo import RandomStream
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_k = t0 + k dt for k = 0..steps."""
+    """Uniform grid t_k = k dt, k = 0..steps, from where the initial data are given."""
 
-    t0: float
     dt: float
     steps: int
 
     def __post_init__(self):
-        if self.t0 < 0:
-            raise ValueError("t0 must be nonnegative")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.steps < 1:
@@ -33,11 +30,11 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.steps + 1)
+        return self.dt * np.arange(self.steps + 1)
 
     @property
     def t_final(self) -> float:
-        return self.t0 + self.dt * self.steps
+        return self.dt * self.steps
 
     def indices(self, keep) -> np.ndarray:
         """Grid indices ``keep`` as an int array; ValueError outside 0..steps."""
@@ -70,16 +67,21 @@ def sample_increments_block(
     return out
 
 
-def running_sums(increments: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
-    """Running sums along axis 1 of a time slice of increments [batch, r, ...]:
-    r + 1 rows from zero for the first slice (``carry`` None), else r rows
-    from ``carry``, the last sum of the slice before.  The carry is added
-    into the first increment before the cumulative sum, so every addition
-    happens in the order of one sum over all steps: slicing moves no bit.
+def running_sums(slices):
+    """Running sums along axis 1 of consecutive increment slices [batch, r, ...].
+
+    Yields ``(r0, sums)`` with ``sums`` the grid rows from ``r0``: r + 1
+    rows from zero for the first slice, then r rows per slice.  The last sum
+    of each slice is carried into the next slice's first increment (in
+    place) before the cumulative sum, so every addition happens in the order
+    of one sum over all steps: slicing moves no bit.
     """
-    lead = carry is None
-    if not lead:
-        increments[:, 0] += carry
-    out = np.zeros((increments.shape[0], lead + increments.shape[1], *increments.shape[2:]))
-    np.cumsum(increments, axis=1, out=out[:, lead:])
-    return out
+    r0 = 0
+    for inc in slices:
+        lead = r0 == 0
+        if not lead:
+            inc[:, 0] += sums[:, -1]
+        sums = np.zeros((inc.shape[0], lead + inc.shape[1], *inc.shape[2:]))
+        np.cumsum(inc, axis=1, out=sums[:, lead:])
+        yield r0, sums
+        r0 += sums.shape[1]

@@ -43,7 +43,7 @@ def test_criterion_1_wiener_trace_identity():
     n, t_final, samples = 64, 2.0, 10_000
     spec = CovarianceSpectrum.power(2.0, n)
     basis = DirichletBasis(1.0, n)
-    grid = wiener.TimeGrid(0.0, 2.0, 1)
+    grid = wiener.TimeGrid(2.0, 1)
     coeff = _wiener_coefficients(spec, basis, grid, RandomStream(101), samples)
     stats = pairwise_stats(np.sum(coeff[:, 1, :] ** 2, axis=1) / t_final)
     z = (stats.mean - spec.trace) / stats.stderr
@@ -57,7 +57,7 @@ def test_criterion_2_bilinear_covariance_identity():
     n, samples = 64, 10_000
     spec = CovarianceSpectrum.power(2.0, n)
     basis = DirichletBasis(1.0, n)
-    grid = wiener.TimeGrid(0.0, 1.0, 2)  # s = 1, t = 2
+    grid = wiener.TimeGrid(1.0, 2)  # s = 1, t = 2
     coeff = _wiener_coefficients(spec, basis, grid, RandomStream(112), samples)
     rng = np.random.default_rng(2024)
     zs = []
@@ -114,7 +114,7 @@ def _wave_covariance_oracle(prob, t, s):
     return total
 
 
-WAVE_GRID = wiener.TimeGrid(0.0, 0.25, 8)
+WAVE_GRID = wiener.TimeGrid(0.25, 8)
 WAVE_CHECK = [2, 3, 4, 6, 8]
 WAVE_PAIRS = [(8, 4), (8, 2), (6, 3), (4, 2), (8, 8)]
 
@@ -212,7 +212,7 @@ def test_criterion_4_mode_isolation():
         f, g, wave_speed=1.0, length=1.0, epsilon=1.0,
         spectrum=CovarianceSpectrum.parse("finite:1", n),
     )
-    grid = wiener.TimeGrid(0.0, 0.1, 10)
+    grid = wiener.TimeGrid(0.1, 10)
     u, v = wave.simulate_block(prob, grid, RandomStream(104), 0, 64)
     mu = prob.angular_freqs
     det_u = prob.cos_amps * np.cos(mu * grid.times[:, np.newaxis]) + (
@@ -233,7 +233,7 @@ def test_criterion_5_heat_statistics():
     started = time.time()
     samples = 10_000
     prob = heat.HeatProblem(0.5, [1.0, 0.0, 0.0, 0.0])
-    grid = wiener.TimeGrid(0.0, 0.05, 4)
+    grid = wiener.TimeGrid(0.05, 4)
     _, u = heat.simulate_block(prob, grid, RandomStream(105), 0, samples)
     zs = []
     for x in (0.25, 0.5, 0.75):
@@ -287,7 +287,7 @@ def test_criterion_6_lyapunov_deterministic():
         (-2.0, (0.0, 0.0, 1.0, 0.0)),
         (0.5, (1.0, 0.2, 0.1, 0.0)),
     ]
-    grid = wiener.TimeGrid(0.0, 0.01, 1000)
+    grid = wiener.TimeGrid(0.01, 1000)
     worst = 0.0
     for alpha, coeffs in cases:
         prob = lyapunov.LyapunovProblem(alpha, alpha, 0.0, np.asarray(coeffs))
@@ -304,7 +304,7 @@ def test_criterion_7_lyapunov_stochastic():
     target = -PI2 - 0.5
 
     def median_error(t_final, dt):
-        grid = wiener.TimeGrid(0.0, dt, int(round(t_final / dt)))
+        grid = wiener.TimeGrid(dt, int(round(t_final / dt)))
         slopes = [
             lyapunov.estimate_from_path(prob, grid, RandomStream(107).child(k)).slope
             for k in range(16)
@@ -344,7 +344,7 @@ def test_criterion_9_burgers_additive_bound():
     started = time.time()
     n = 64
     u0 = HilbertVector.unit(n, 1, 0.5).coeffs
-    grid = wiener.TimeGrid(0.0, 1e-3, 2000)
+    grid = wiener.TimeGrid(1e-3, 2000)
     worst_gap = -math.inf
     for nu in (0.05, 0.5):
         for sigma in (0.25, 1.0):
@@ -394,7 +394,7 @@ def test_criterion_10_burgers_multiplicative_and_chebyshev():
     nu, sigma = 0.5, 1.0
     assert sigma**2 < 2 * nu * PI2  # decaying regime
     prob = burgers.BurgersProblem(nu, 1.0, sigma, burgers.MultiplicativeNoise(), u0)
-    grid = wiener.TimeGrid(0.0, 1e-3, 2000)
+    grid = wiener.TimeGrid(1e-3, 2000)
     e2, diverged = burgers.trace_block(prob, grid, RandomStream(110), 0, 1000)
     assert np.all(diverged < 0)
     stats = pairwise_stats(e2)

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from spde_lab import burgers, montecarlo
+from spde_lab import montecarlo
 from spde_lab.burgers import (
     AdditiveNoise,
     BurgersProblem,
@@ -54,14 +54,14 @@ def test_zero_state_is_fixed_point():
     prob = BurgersProblem(
         0.1, 1.0, 0.0, AdditiveNoise(CovarianceSpectrum.power(2, N)), np.zeros(N)
     )
-    grid = TimeGrid(0, 1e-3, 50)
+    grid = TimeGrid(1e-3, 50)
     e2, _ = trace_block(prob, grid, RandomStream(1), 0, 1)
     np.testing.assert_array_equal(e2[0], np.zeros(grid.steps + 1))
 
 
 def test_noiseless_energy_monotone():
     prob = _additive(sigma=0.0)
-    grid = TimeGrid(0, 1e-3, 500)
+    grid = TimeGrid(1e-3, 500)
     e2, diverged = trace_block(prob, grid, RandomStream(2), 0, 1)
     assert diverged[0] == -1
     assert np.all(np.diff(e2[0]) <= 1e-15)
@@ -112,15 +112,15 @@ def test_step_rejects_large_dt():
     prob = _additive()
     limit = dt_max(prob, prob.init_coeffs)
     with pytest.raises(StepSizeError):
-        trace_block(prob, TimeGrid(0, 1.5 * limit, 2), RandomStream(4), 0, 1)
-    trace_block(prob, TimeGrid(0, 0.5 * limit, 2), RandomStream(4), 0, 1)
+        trace_block(prob, TimeGrid(1.5 * limit, 2), RandomStream(4), 0, 1)
+    trace_block(prob, TimeGrid(0.5 * limit, 2), RandomStream(4), 0, 1)
     with pytest.raises(ValueError):
-        TimeGrid(0, -0.1, 2)
+        TimeGrid(-0.1, 2)
 
 
 def test_step_deterministic_given_key():
     prob = _additive()
-    grid = TimeGrid(0, 1e-3, 1)
+    grid = TimeGrid(1e-3, 1)
     a, _ = trace_block(prob, grid, RandomStream(5), 9, 10)
     b, _ = trace_block(prob, grid, RandomStream(5), 9, 10)
     assert np.array_equal(a, b)
@@ -133,7 +133,7 @@ def test_step_detects_blow_up():
     spec = CovarianceSpectrum.parse("finite:1", N)
     prob = BurgersProblem(1e12, 1.0, 1.0, AdditiveNoise(spec), np.zeros(N))
     assert blowup_threshold(prob, 0.0) < 1e-6
-    e2, diverged = trace_block(prob, TimeGrid(0, 1e-3, 3), RandomStream(6), 0, 1)
+    e2, diverged = trace_block(prob, TimeGrid(1e-3, 3), RandomStream(6), 0, 1)
     assert diverged[0] == 1
     assert e2[0, 0] == 0.0 and np.all(np.isnan(e2[0, 1:]))
 
@@ -193,7 +193,7 @@ def test_exit_probability_bound_values():
 
 def test_additive_bound_dominates_monte_carlo():
     prob = _additive(nu=0.25, sigma=0.5)
-    grid = TimeGrid(0, 1e-3, 400)
+    grid = TimeGrid(1e-3, 400)
     ens = simulate_energy_ensemble(prob, grid, 200, RandomStream(7))
     assert ens.divergence_count == 0
     bound = energy_bound_additive(prob, grid.times, float(np.sum(prob.init_coeffs**2)))
@@ -203,7 +203,7 @@ def test_additive_bound_dominates_monte_carlo():
 
 def test_multiplicative_bound_dominates_both_regimes():
     e0 = 0.25
-    grid = TimeGrid(0, 1e-3, 400)
+    grid = TimeGrid(1e-3, 400)
     threshold = math.sqrt(2 * 0.5 * math.pi**2)
     for sigma in (0.8 * threshold, 1.1 * threshold):
         prob = _multiplicative(nu=0.5, sigma=sigma)
@@ -216,7 +216,7 @@ def test_multiplicative_bound_dominates_both_regimes():
 
 def test_chebyshev_exit_frequency():
     prob = _multiplicative(nu=0.5, sigma=1.0)
-    grid = TimeGrid(0, 1e-3, 500)
+    grid = TimeGrid(1e-3, 500)
     e2, diverged = trace_block(prob, grid, RandomStream(9), 0, 1000)
     assert np.all(diverged < 0)
     e0 = float(np.sum(prob.init_coeffs**2))
@@ -255,7 +255,7 @@ def test_refinement_stability():
 def test_ensemble_worker_invariance(monkeypatch):
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 32)
     prob = _additive(nu=0.25, sigma=0.5)
-    grid = TimeGrid(0, 1e-3, 100)
+    grid = TimeGrid(1e-3, 100)
     runs = {
         w: simulate_energy_ensemble(prob, grid, 96, RandomStream(11), workers=w)
         for w in (1, 2, 8)
@@ -276,7 +276,7 @@ def test_ensemble_bytes_independent_of_blas_threads():
     get, _ = calls
     spec = CovarianceSpectrum.parse("power:2", 64)
     prob = BurgersProblem(0.05, 1.0, 1.0, AdditiveNoise(spec), HilbertVector.unit(64, 1, 2.0).coeffs)
-    grid = TimeGrid(0, 1e-3, 100)
+    grid = TimeGrid(1e-3, 100)
     run = partial(simulate_energy_ensemble, prob, grid, 244, RandomStream(11))
     before = montecarlo._set_blas_threads(1)
     try:
@@ -294,7 +294,7 @@ def test_ensemble_bytes_independent_of_blas_threads():
 def test_ensemble_reports_divergences():
     # A strongly growing multiplicative regime crosses the blow-up threshold.
     prob = _multiplicative(nu=0.01, sigma=6.0, amp=0.5)
-    grid = TimeGrid(0, 2e-4, 3000)
+    grid = TimeGrid(2e-4, 3000)
     ens = simulate_energy_ensemble(prob, grid, 32, RandomStream(12))
     assert ens.divergence_count > 0
     assert np.isnan(np.asarray(ens.stats.mean)[-1])
@@ -302,7 +302,7 @@ def test_ensemble_reports_divergences():
 
 def test_trace_matches_single_sample():
     prob = _additive()
-    grid = TimeGrid(0, 1e-3, 50)
+    grid = TimeGrid(1e-3, 50)
     block, _ = trace_block(prob, grid, RandomStream(13), 0, 3)
     single, _ = trace_block(prob, grid, RandomStream(13), 1, 2)
     np.testing.assert_allclose(block[1], single[0], rtol=1e-12, atol=1e-16)
@@ -312,12 +312,12 @@ def test_trace_matches_single_sample():
 def test_trace_block_independent_of_chunk_rows(monkeypatch, make):
     # Draws arrive one step at a time, then as one slice of all steps.
     prob = make()
-    grid = TimeGrid(0, 1e-3, 40)
+    grid = TimeGrid(1e-3, 40)
     batch = 5
     per_step = N if isinstance(prob.noise, AdditiveNoise) else 1
     runs = []
     for chunk_bytes in (1, 8 * batch * per_step * grid.steps):
-        monkeypatch.setattr(burgers, "CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(montecarlo, "CHUNK_BYTES", chunk_bytes)
         runs.append(trace_block(prob, grid, RandomStream(14), 3, 3 + batch))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -333,7 +333,7 @@ def test_trace_block_memory_below_its_draws():
     )
     tracemalloc.start()
     try:
-        e2, _ = trace_block(prob, TimeGrid(0, 1e-3, steps), RandomStream(15), 0, batch)
+        e2, _ = trace_block(prob, TimeGrid(1e-3, steps), RandomStream(15), 0, batch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import spde_lab
-from spde_lab import cli, heat, lyapunov, wave, wiener
+from spde_lab import cli, heat, lyapunov, montecarlo, wave, wiener
 from spde_lab.cli import run
 from spde_lab.hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector
 from spde_lab.montecarlo import RandomStream
@@ -44,8 +44,18 @@ def test_missing_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_bad_grid_exits_2(capsys):
-    code = run(["heat", "--dt", "0.3", "--t-final", "0.2", "--out", "/tmp/never"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heat", "--dt", "0.3", "--t-final", "0.2"],
+        # An infinite final time is a usage error naming the flag, not an
+        # OverflowError traceback (exit 1) or a NaN message.
+        *([cmd, "--t-final", "inf"] for cmd in ("heat", "wave", "burgers", "lyapunov")),
+    ],
+    ids=["dt-above-t-final", "heat-inf", "wave-inf", "burgers-inf", "lyapunov-inf"],
+)
+def test_bad_grid_exits_2(argv, capsys):
+    code = run(argv + ["--out", "/tmp/never"])
     assert code == 2
     assert "t-final" in capsys.readouterr().err
 
@@ -254,7 +264,7 @@ def test_lyapunov_stderr_matches_slope_spread_over_paths(tmp_path, capsys):
         assert stderr == pytest.approx(math.sqrt(1.2 / window), rel=1e-12)
 
     prob = lyapunov.LyapunovProblem(0.0, 0.0, 1.0, np.array([1.0, 0.0, 0.0, 0.0]))
-    grid = TimeGrid(0.0, 10 / 2000, 2000)
+    grid = TimeGrid(10 / 2000, 2000)
     slopes = [
         lyapunov.estimate_from_path(prob, grid, RandomStream(11).child(k), 1.0).slope
         for k in range(400)
@@ -403,7 +413,7 @@ def test_block_memory_within_stated_bound(kernel):
     # A 64-mode, 2000-step block of 128 samples peaks below 24 MiB: no
     # kernel holds a [batch, steps, N] array, which would take 131 MB.
     n, steps, batch = 64, 2000, 128
-    fn = _kernels(n, TimeGrid(0.0, 0.001, steps))[kernel]
+    fn = _kernels(n, TimeGrid(0.001, steps))[kernel]
     tracemalloc.start()
     try:
         values = fn(RandomStream(3), 0, batch)
@@ -420,10 +430,10 @@ def test_wiener_block_independent_of_chunk_rows(monkeypatch, rows):
     # slice of all 40); each equals the whole-path formula on
     # sample_increments_block bit for bit.
     n, batch = 6, 5
-    grid = TimeGrid(0, 0.01, 40)
+    grid = TimeGrid(0.01, 40)
     fn = _wiener_kernel(n, grid)
     spec, basis, _, pairs, k_s = fn.args
-    monkeypatch.setattr(cli, "CHUNK_BYTES", 8 * batch * n * rows)
+    monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 8 * batch * n * rows)
     got = fn(RandomStream(14), 3, 3 + batch)
     inc = wiener.sample_increments_block(spec, basis, grid, RandomStream(14), 3, 3 + batch)
     paths = np.concatenate([np.zeros((batch, 1, n)), np.cumsum(inc, axis=1)], axis=1)
@@ -455,6 +465,38 @@ codes = [
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("concurrent.futures")]
 print(json.dumps({"codes": codes, "loaded": sorted(loaded)}))
 """
+
+
+# Runs spde-lab's entry point on the given argv in a fresh interpreter and
+# prints its exit code and numpy's BLAS thread count afterwards.
+_MAIN_PROBE = """
+import json, sys
+from spde_lab import cli, montecarlo
+sys.argv = ["spde-lab", *sys.argv[1:]]
+try:
+    cli.main()
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "threads": montecarlo._openblas()[0]()}))
+"""
+
+
+def test_main_keeps_one_blas_thread_after_a_pooled_run(tmp_path):
+    # main sets one BLAS thread before the run, so map_blocks has no thread
+    # count to restore after its pool, and OpenBLAS's thread server is not
+    # restarted.
+    if montecarlo._openblas() is None:
+        pytest.skip("numpy's BLAS offers no thread-count call")
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(spde_lab.__file__).parents[1])
+    argv = ["heat", "--samples", "300", "--workers", "2", "--seed", "3", "--out", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-c", _MAIN_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] in (0, 1), result
+    assert result["threads"] == 1, result
 
 
 @pytest.mark.parametrize("workers", [1, 2])

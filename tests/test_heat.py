@@ -25,7 +25,7 @@ def test_drift_rates():
 
 
 def test_sample_is_exact_transform_of_path():
-    grid = TimeGrid(0, 0.05, 6)
+    grid = TimeGrid(0.05, 6)
     w, u = simulate_block(SINGLE, grid, RandomStream(1), 0, 1)
     expected = SINGLE.init_coeffs * np.exp(
         SINGLE.drift_rates * grid.times[:, np.newaxis]
@@ -38,7 +38,7 @@ def test_sample_is_exact_transform_of_path():
 @pytest.mark.parametrize("keep", [[0], [3], [1, 4, 6], [0, 2, 6], list(range(7))])
 def test_simulate_block_keep_matches_full_coefficients(keep):
     prob = HeatProblem(0.7, [0.5, -0.2, 0.1])
-    grid = TimeGrid(0.0, 0.05, 6)
+    grid = TimeGrid(0.05, 6)
     u_keep, extra = simulate_block(prob, grid, RandomStream(5), 3, 10, keep)
     _, u = simulate_block(prob, grid, RandomStream(5), 3, 10)
     assert np.array_equal(u_keep, u[:, keep])
@@ -48,12 +48,12 @@ def test_simulate_block_keep_matches_full_coefficients(keep):
 @pytest.mark.parametrize("keep", [[7], [-1], [0, 7]])
 def test_simulate_block_rejects_keep_outside_grid(keep):
     with pytest.raises(ValueError):
-        simulate_block(SINGLE, TimeGrid(0.0, 0.05, 6), RandomStream(1), 0, 2, keep)
+        simulate_block(SINGLE, TimeGrid(0.05, 6), RandomStream(1), 0, 2, keep)
 
 
 def test_zero_noise_is_deterministic_decay():
     prob = HeatProblem(0.0, [1.0, -0.5, 0.2])
-    grid = TimeGrid(0, 0.02, 10)
+    grid = TimeGrid(0.02, 10)
     _, u = simulate_block(prob, grid, RandomStream(2), 0, 1)
     expected = prob.init_coeffs * np.exp(-prob.eigenvalues * grid.times[:, np.newaxis])
     np.testing.assert_allclose(u[0], expected, rtol=1e-14)
@@ -61,7 +61,7 @@ def test_zero_noise_is_deterministic_decay():
 
 def test_sign_pattern_preserved():
     prob = HeatProblem(0.8, [0.5, -1.0, 0.0, 2.0])
-    grid = TimeGrid(0, 0.05, 4)
+    grid = TimeGrid(0.05, 4)
     _, u = simulate_block(prob, grid, RandomStream(3), 0, 200)
     assert np.all(np.sign(u) == np.sign(prob.init_coeffs))
 
@@ -69,7 +69,7 @@ def test_sign_pattern_preserved():
 def test_same_sign_modes_comonotone():
     # One shared scalar path: mode orderings across samples coincide exactly.
     prob = HeatProblem(0.6, [1.0, 0.5, 0.25])
-    grid = TimeGrid(0, 0.1, 2)
+    grid = TimeGrid(0.1, 2)
     _, u = simulate_block(prob, grid, RandomStream(4), 0, 500)
     order_1 = np.argsort(u[:, 2, 0])
     order_2 = np.argsort(u[:, 2, 1])
@@ -85,7 +85,7 @@ def test_mean_closed_form_values():
 
 
 def test_mean_monte_carlo():
-    grid = TimeGrid(0, 0.05, 4)
+    grid = TimeGrid(0.05, 4)
     _, u = simulate_block(SINGLE, grid, RandomStream(5), 0, 10_000)
     closed = mean_closed_form(SINGLE, 0.1).coeffs[0]
     stats = pairwise_stats(u[:, 2, 0])
@@ -106,7 +106,7 @@ def test_variance_substitution_value():
 
 
 def test_variance_monte_carlo():
-    grid = TimeGrid(0, 0.05, 4)
+    grid = TimeGrid(0.05, 4)
     _, u = simulate_block(SINGLE, grid, RandomStream(6), 0, 10_000)
     m = mean_closed_form(SINGLE, 0.1).coeffs
     stats = pairwise_stats(np.sum((u[:, 2, :] - m) ** 2, axis=1))
@@ -130,7 +130,7 @@ def test_covariance_substitution_value():
 
 
 def test_covariance_monte_carlo_shared_path():
-    grid = TimeGrid(0, 0.05, 4)
+    grid = TimeGrid(0.05, 4)
     _, u = simulate_block(SINGLE, grid, RandomStream(7), 0, 10_000)
     m1 = mean_closed_form(SINGLE, 0.1).coeffs
     m2 = mean_closed_form(SINGLE, 0.2).coeffs
@@ -175,7 +175,7 @@ def test_correlation_degenerate_cases_raise():
 
 def test_lognormal_moment_identity():
     # E exp(eps w_t) = exp(eps^2 t / 2), the step behind the mean formula.
-    grid = TimeGrid(0, 0.1, 10)
+    grid = TimeGrid(0.1, 10)
     w, _ = simulate_block(SINGLE, grid, RandomStream(8), 0, 10_000)
     stats = pairwise_stats(np.exp(0.5 * w[:, 10]))
     assert abs(stats.mean - math.exp(0.5**2 * 1.0 / 2)) <= 3 * stats.stderr

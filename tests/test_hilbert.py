@@ -88,7 +88,7 @@ def test_kernel_matches_field_covariance_monte_carlo():
     n = 8
     spec = CovarianceSpectrum.power(2.0, n)
     basis = DirichletBasis(1.0, n)
-    grid = TimeGrid(0.0, 1.0, 1)
+    grid = TimeGrid(1.0, 1)
     inc = sample_increments_block(spec, basis, grid, RandomStream(31), 0, 10_000)
     coeffs = np.sqrt(spec.eigenvalues) * inc[:, 0, :]
     x, y = 0.3, 0.7

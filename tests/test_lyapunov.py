@@ -38,7 +38,7 @@ def test_lowest_excited_mode_dominates():
     prob = _prob(coeffs=(1.0, 1e-3, 0.0, 0.0))
     assert exponent_deterministic(prob) == pytest.approx(-PI2, rel=1e-14)
     # Cross-check by path estimation (deterministic path, long window).
-    est = estimate_from_path(prob, TimeGrid(0, 0.01, 1500), RandomStream(0))
+    est = estimate_from_path(prob, TimeGrid(0.01, 1500), RandomStream(0))
     assert est.slope == pytest.approx(-PI2, abs=1e-8)
 
 
@@ -101,14 +101,14 @@ def test_deterministic_path_estimate_exact(alpha, coeffs):
     # With gamma = 0 and beta = alpha the sampled system is the
     # deterministic one, so the fitted slope is -lambda_{n0} + alpha.
     prob = _prob(alpha=alpha, beta=alpha, coeffs=coeffs)
-    est = estimate_from_path(prob, TimeGrid(0, 0.01, 1000), RandomStream(1))
+    est = estimate_from_path(prob, TimeGrid(0.01, 1000), RandomStream(1))
     assert abs(est.slope - exponent_deterministic(prob)) < 1e-9
     assert est.stderr == 0.0
 
 
 def test_stochastic_path_estimate_within_band():
     prob = _prob(gamma=1.0)
-    grid = TimeGrid(0, 0.01, 10_000)  # T = 100
+    grid = TimeGrid(0.01, 10_000)  # T = 100
     slopes = [
         estimate_from_path(prob, grid, RandomStream(100).child(k)).slope
         for k in range(16)
@@ -123,7 +123,7 @@ def test_stderr_matches_slope_spread_over_paths(gamma):
     # deviation sqrt(6/5) |gamma| / sqrt(W); a residual-based stderr reads
     # about 55x less.
     prob = _prob(gamma=gamma)
-    grid = TimeGrid(0.0, 10 / 2000, 2000)
+    grid = TimeGrid(10 / 2000, 2000)
     estimates = [
         estimate_from_path(prob, grid, RandomStream(12).child(k), 1.0) for k in range(400)
     ]
@@ -136,7 +136,7 @@ def test_stderr_matches_slope_spread_over_paths(gamma):
 def test_estimates_agree_across_stream_keys():
     # Non-randomness of the limit: two keys agree within the combined band.
     prob = _prob(gamma=1.0)
-    grid = TimeGrid(0, 0.01, 10_000)
+    grid = TimeGrid(0.01, 10_000)
     a = estimate_from_path(prob, grid, RandomStream(21))
     b = estimate_from_path(prob, grid, RandomStream(22))
     band = 3 * 1.0 / math.sqrt(0.9 * 100)
@@ -148,7 +148,7 @@ def test_error_shrinks_with_horizon():
     target = -PI2 - 0.5
     medians = []
     for t_final in (25.0, 100.0, 400.0):
-        grid = TimeGrid(0, 0.05, int(t_final / 0.05))
+        grid = TimeGrid(0.05, int(t_final / 0.05))
         errs = [
             abs(estimate_from_path(prob, grid, RandomStream(7).child(k)).slope - target)
             for k in range(16)
@@ -161,7 +161,7 @@ def test_no_underflow_over_long_horizon():
     # Decay like exp(-pi^2 t) over t = 400 underflows linear space; the
     # log-domain path must stay finite and keep the exact slope.
     prob = _prob(alpha=0.0)
-    grid = TimeGrid(0, 0.2, 2000)
+    grid = TimeGrid(0.2, 2000)
     est = estimate_from_path(prob, grid, RandomStream(2))
     assert math.isfinite(est.slope) and math.isfinite(est.stderr)
     assert est.slope == pytest.approx(-PI2, abs=1e-9)
@@ -169,7 +169,7 @@ def test_no_underflow_over_long_horizon():
 
 def test_window_validation():
     prob = _prob(gamma=1.0)
-    grid = TimeGrid(0, 0.1, 10)
+    grid = TimeGrid(0.1, 10)
     with pytest.raises(ValueError):
         estimate_from_path(prob, grid, RandomStream(3), t_burn=1.0)
     with pytest.raises(ValueError):
@@ -193,7 +193,7 @@ def test_log_norm_path_matches_logsumexp(k, slowest):
         coeffs[0] = slowest * np.sqrt(np.sum(coeffs[1:] ** 2) / (1 - slowest**2))
     prob = _prob(beta=0.3, gamma=1.1, coeffs=coeffs)
     assert lowest_active_mode(prob) == 1
-    grid = TimeGrid(0, 0.5, 2000)
+    grid = TimeGrid(0.5, 2000)
     got = log_norm_path(prob, grid, RandomStream(k))
 
     draws = RandomStream(k).generator().standard_normal(grid.steps)

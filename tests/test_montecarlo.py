@@ -65,13 +65,17 @@ def test_block_normals_match_per_sample_draws(shape, empty_shape):
 
 @pytest.mark.parametrize("rows", [1, 3, 9, 14])
 @pytest.mark.parametrize("shape", [(9, 4, 2), (9, 4), (9,)])
-def test_block_chunks_concatenate_to_block_normals(shape, rows):
+def test_block_chunks_concatenate_to_block_normals(monkeypatch, shape, rows):
     # The wave, additive Burgers and multiplicative Burgers draw shapes of a
-    # 9-step grid, in slices of 1, 3, all and more than all steps.
+    # 9-step grid, in slices of 1, 3, all and more than all steps: CHUNK_BYTES
+    # holds `rows` steps of 4 samples.
+    monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 8 * 4 * math.prod(shape[1:]) * rows)
     stream = RandomStream(13)
-    chunks = list(stream.block_chunks(5, 9, shape, rows))
+    chunks = list(stream.block_chunks(5, 9, shape))
     assert [c.shape[1] for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
-    assert np.array_equal(np.concatenate(chunks, axis=1), stream.block_normals(5, 9, shape))
+    expected = np.stack([stream.child(i).generator().standard_normal(shape) for i in range(5, 9)])
+    assert np.array_equal(np.concatenate(chunks, axis=1), expected)
+    assert np.array_equal(stream.block_normals(5, 9, shape), expected)
 
 
 def _loop_child_calls(tree) -> set:
@@ -87,8 +91,9 @@ def _loop_child_calls(tree) -> set:
 
 
 def test_samples_are_keyed_only_in_montecarlo():
-    # One helper keys ensemble samples to substreams; a per-sample loop over
-    # child(i) elsewhere would be a second keying path.
+    # One helper keys ensemble samples to substreams and sizes their time
+    # slices; a per-sample loop over child(i) elsewhere would be a second
+    # keying path, and a CHUNK_BYTES read elsewhere a second slice size.
     modules = sorted(Path(spde_lab.__file__).parent.glob("*.py"))
     assert any(path.name == "montecarlo.py" for path in modules)
     for path in modules:
@@ -97,6 +102,8 @@ def test_samples_are_keyed_only_in_montecarlo():
         text = path.read_text()
         assert not re.search(r"range\(\s*start\s*,\s*stop\s*\)", text), path.name
         assert not _loop_child_calls(ast.parse(text)), path.name
+        # block_chunks alone sizes the time slices of a block.
+        assert "CHUNK_BYTES" not in text, path.name
 
 
 def _referenced_names(tree, skip=None) -> set:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spde_lab import wave
+from spde_lab import montecarlo
 from spde_lab.hilbert import CovarianceSpectrum, HilbertVector
 from spde_lab.montecarlo import RandomStream, pairwise_stats
 from spde_lab.wave import (
@@ -88,7 +88,7 @@ def test_modal_data_rejects_bad_constants():
 
 def test_deterministic_wave_exact():
     prob = _problem(epsilon=0.0)
-    grid = TimeGrid(0, 0.05, 40)
+    grid = TimeGrid(0.05, 40)
     u, _ = simulate_block(prob, grid, RandomStream(1), 0, 1)
     mu = prob.angular_freqs
     expected = prob.cos_amps * np.cos(mu * grid.times[:, np.newaxis]) + (
@@ -102,14 +102,14 @@ def test_initial_conditions_of_samples():
     f = HilbertVector([0.5, -0.2, 0.1, 0.0])
     g = HilbertVector([0.0, 1.0, 0.0, 0.3])
     prob = _problem(n_modes=n, f=f, g=g, epsilon=0.7)
-    u, v = simulate_block(prob, TimeGrid(0, 0.1, 5), RandomStream(2), 0, 1)
+    u, v = simulate_block(prob, TimeGrid(0.1, 5), RandomStream(2), 0, 1)
     np.testing.assert_allclose(u[0, 0], prob.cos_amps, rtol=1e-14)
     np.testing.assert_allclose(v[0, 0], prob.sin_amps * prob.angular_freqs, rtol=1e-14)
 
 
 def test_deterministic_energy_conserved():
     prob = _problem(epsilon=0.0)
-    grid = TimeGrid(0, 0.05, 40)
+    grid = TimeGrid(0.05, 40)
     u, v = simulate_block(prob, grid, RandomStream(3), 0, 1)
     np.testing.assert_allclose(energy_block(prob, u, v)[0], math.pi**2 / 2, rtol=1e-12)
 
@@ -123,8 +123,8 @@ def test_simulate_block_keep_matches_full_trajectories(monkeypatch, steps, batch
     # and 4+4+2, rows=1 starts a slice at every step and 11 takes them all.
     n = 5
     prob = _problem(n_modes=n, c=1.3, length=0.7, g=HilbertVector.unit(n, 2))
-    grid = TimeGrid(0.0, 0.03, steps)
-    monkeypatch.setattr(wave, "CHUNK_BYTES", 8 * batch * n * rows)
+    grid = TimeGrid(0.03, steps)
+    monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 16 * batch * n * rows)
     keep = sorted({0, steps // 2, steps})
     stream = RandomStream(5)
     u_keep, energies = simulate_block(prob, grid, stream, 3, 3 + batch, keep)
@@ -135,7 +135,7 @@ def test_simulate_block_keep_matches_full_trajectories(monkeypatch, steps, batch
 
 def test_simulate_block_rejects_keep_outside_grid():
     prob = _problem(n_modes=3)
-    grid = TimeGrid(0.0, 0.1, 4)
+    grid = TimeGrid(0.1, 4)
     for keep in ([5], [-1]):
         with pytest.raises(ValueError):
             simulate_block(prob, grid, RandomStream(1), 0, 2, keep)
@@ -214,7 +214,7 @@ def test_covariance_single_mode_against_oracle_and_monte_carlo():
     closed = covariance_closed_form(prob, 1.0, 0.5)
     oracle = _covariance_quadrature_oracle(prob, 1.0, 0.5)
     assert closed == pytest.approx(oracle, abs=1e-10)
-    grid = TimeGrid(0, 0.25, 4)
+    grid = TimeGrid(0.25, 4)
     u, _ = simulate_block(prob, grid, RandomStream(7), 0, 10_000)
     dev_t = u[:, 4, :] - mean_coefficients(prob, 1.0).coeffs
     dev_s = u[:, 2, :] - mean_coefficients(prob, 0.5).coeffs
@@ -224,7 +224,7 @@ def test_covariance_single_mode_against_oracle_and_monte_carlo():
 
 def test_variance_monte_carlo():
     prob = _problem()
-    grid = TimeGrid(0, 0.25, 8)
+    grid = TimeGrid(0.25, 8)
     u, _ = simulate_block(prob, grid, RandomStream(5), 0, 10_000)
     t = 2.0
     dev = u[:, 8, :] - mean_coefficients(prob, t).coeffs
@@ -234,7 +234,7 @@ def test_variance_monte_carlo():
 
 def test_mean_formula_on_grid_monte_carlo():
     prob = _problem(n_modes=6, epsilon=0.6)
-    grid = TimeGrid(0, 0.25, 4)
+    grid = TimeGrid(0.25, 4)
     u, _ = simulate_block(prob, grid, RandomStream(6), 0, 10_000)
     for x in (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6):
         vals = u[:, 4, :] @ prob.basis.evaluate(x)
@@ -249,7 +249,7 @@ def test_single_mode_forcing_isolates_modes():
     f = HilbertVector([0.4, 0.3, -0.2, 0.1, 0.05])
     g = HilbertVector([0.0, 0.2, 0.0, -0.1, 0.0])
     prob = _problem(n_modes=n, spectrum=spec, f=f, g=g, epsilon=1.5)
-    grid = TimeGrid(0, 0.1, 10)
+    grid = TimeGrid(0.1, 10)
     u, v = simulate_block(prob, grid, RandomStream(8), 0, 16)
     mu = prob.angular_freqs
     det_u = prob.cos_amps * np.cos(mu * grid.times[:, np.newaxis]) + (
@@ -262,8 +262,8 @@ def test_single_mode_forcing_isolates_modes():
 def test_distributional_exactness_under_refinement():
     # Marginal law at T is unchanged when dt -> dt/4.
     prob = _problem(n_modes=4, epsilon=1.0)
-    coarse = TimeGrid(0, 0.5, 2)
-    fine = TimeGrid(0, 0.125, 8)
+    coarse = TimeGrid(0.5, 2)
+    fine = TimeGrid(0.125, 8)
     u_c, _ = simulate_block(prob, coarse, RandomStream(9), 0, 8_000)
     u_f, _ = simulate_block(prob, fine, RandomStream(10), 0, 8_000)
     m = mean_coefficients(prob, 1.0).coeffs
@@ -279,7 +279,7 @@ def test_distributional_exactness_under_refinement():
 def test_mean_energy_pumped_by_forcing():
     # The forcing feeds mean energy at rate eps^2 Tr(Q)/2: E E(t) = E(0) + drift.
     prob = _problem(n_modes=4, epsilon=0.9)
-    grid = TimeGrid(0, 0.25, 8)
+    grid = TimeGrid(0.25, 8)
     u, v = simulate_block(prob, grid, RandomStream(12), 0, 10_000)
     energies = energy_block(prob, u, v)
     for k, t in [(4, 1.0), (8, 2.0)]:
@@ -304,7 +304,7 @@ def test_energy_variance_zero_data_single_mode():
     t, mu = 1.0, math.pi
     expected = 1.2**4 * 0.8**2 * (t**2 / 4 + (1 - math.cos(2 * mu * t)) / (8 * mu**2))
     assert energy_variance_closed_form(prob, t) == pytest.approx(expected, rel=1e-12)
-    grid = TimeGrid(0, 0.25, 4)
+    grid = TimeGrid(0.25, 4)
     u, v = simulate_block(prob, grid, RandomStream(13), 0, 10_000)
     e_t = energy_block(prob, u, v)[:, 4]
     stats = pairwise_stats((e_t - e_t.mean()) ** 2)
@@ -314,7 +314,7 @@ def test_energy_variance_zero_data_single_mode():
 def test_energy_variance_monte_carlo_full_problem():
     prob = _problem(n_modes=6, epsilon=0.7, f=HilbertVector([1, 0, 0.5, 0, 0, 0]),
                     g=HilbertVector([0, 1.0, 0, 0, 0, 0]))
-    grid = TimeGrid(0, 0.25, 8)
+    grid = TimeGrid(0.25, 8)
     u, v = simulate_block(prob, grid, RandomStream(14), 0, 10_000)
     e_t = energy_block(prob, u, v)[:, 8]
     stats = pairwise_stats((e_t - e_t.mean()) ** 2)

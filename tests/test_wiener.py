@@ -28,36 +28,39 @@ def _field_values(coeff, x):
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        TimeGrid(0.0, -0.1, 5)
+        TimeGrid(-0.1, 5)
     with pytest.raises(ValueError):
-        TimeGrid(0.0, 0.1, 0)
-    grid = TimeGrid(0.5, 0.25, 4)
-    np.testing.assert_allclose(grid.times, [0.5, 0.75, 1.0, 1.25, 1.5])
-    assert grid.t_final == 1.5
+        TimeGrid(0.1, 0)
+    # The grid starts where the initial data are given: it has no t0.
+    with pytest.raises(TypeError):
+        TimeGrid(0.5, 0.25, 4)
+    grid = TimeGrid(0.25, 4)
+    np.testing.assert_allclose(grid.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert grid.t_final == 1.0
 
 
 def test_zero_spectrum_gives_zero_field():
     spec = CovarianceSpectrum.finite(np.zeros(N_MODES))
-    coeff = _ensemble_coefficients(spec, TimeGrid(0, 0.1, 10), RandomStream(1), 1)
+    coeff = _ensemble_coefficients(spec, TimeGrid(0.1, 10), RandomStream(1), 1)
     for k in (0, 5, 10):
         assert _field_values(coeff[0, k], 0.3) == 0.0
 
 
 def test_same_key_bit_identical_paths():
-    grid = TimeGrid(0, 0.1, 10)
+    grid = TimeGrid(0.1, 10)
     a = sample_increments_block(SPEC, BASIS, grid, RandomStream(9), 4, 5)
     b = sample_increments_block(SPEC, BASIS, grid, RandomStream(9), 4, 5)
     assert np.array_equal(a, b)
 
 
 def test_field_zero_at_initial_time():
-    coeff = _ensemble_coefficients(SPEC, TimeGrid(0, 0.1, 10), RandomStream(2), 1)
+    coeff = _ensemble_coefficients(SPEC, TimeGrid(0.1, 10), RandomStream(2), 1)
     assert _field_values(coeff[0, 0], 0.4) == 0.0
 
 
 def test_single_mode_field_is_rank_one():
     spec = CovarianceSpectrum.finite([1.0] + [0.0] * (N_MODES - 1))
-    coeff = _ensemble_coefficients(spec, TimeGrid(0, 0.5, 2), RandomStream(3), 1)
+    coeff = _ensemble_coefficients(spec, TimeGrid(0.5, 2), RandomStream(3), 1)
     ratios = [
         _field_values(coeff[0, 2], x) / BASIS.evaluate(x)[0] for x in (0.1, 0.3, 0.6, 0.9)
     ]
@@ -65,7 +68,7 @@ def test_single_mode_field_is_rank_one():
 
 
 def test_block_sampling_matches_child_keys():
-    grid = TimeGrid(0, 0.2, 5)
+    grid = TimeGrid(0.2, 5)
     block = sample_increments_block(SPEC, BASIS, grid, RandomStream(5), 0, 4)
     single = sample_increments_block(SPEC, BASIS, grid, RandomStream(5), 2, 3)
     draws = RandomStream(5).child(2).generator().standard_normal((grid.steps, N_MODES))
@@ -77,14 +80,14 @@ def test_block_sampling_matches_child_keys():
 def test_norm_identity_monte_carlo():
     # E ||W_t||^2 = t Tr(Q) with q = (1, 0.5): expect 3.0 at t = 2.
     spec = CovarianceSpectrum.finite([1.0, 0.5] + [0.0] * (N_MODES - 2))
-    grid = TimeGrid(0, 1.0, 2)
+    grid = TimeGrid(1.0, 2)
     coeff = _ensemble_coefficients(spec, grid, RandomStream(11), 10_000)
     stats = pairwise_stats(np.sum(coeff[:, 2, :] ** 2, axis=1))
     assert abs(stats.mean - 3.0) <= 3 * stats.stderr
 
 
 def test_zero_mean_inner_product():
-    grid = TimeGrid(0, 0.5, 2)
+    grid = TimeGrid(0.5, 2)
     coeff = _ensemble_coefficients(SPEC, grid, RandomStream(13), 5_000)
     a = np.full(N_MODES, 1.0 / np.sqrt(N_MODES))
     stats = pairwise_stats(coeff[:, 2, :] @ a)
@@ -93,7 +96,7 @@ def test_zero_mean_inner_product():
 
 def test_bilinear_identity_monte_carlo():
     # E <W_t, a><W_s, b> = min(t, s) <Q a, b>.
-    grid = TimeGrid(0, 0.5, 4)
+    grid = TimeGrid(0.5, 4)
     coeff = _ensemble_coefficients(SPEC, grid, RandomStream(17), 10_000)
     rng = np.random.default_rng(0)
     for _ in range(3):
@@ -106,7 +109,7 @@ def test_bilinear_identity_monte_carlo():
 
 def test_field_covariance_min_t_s():
     # E[W_t(x) W_s(y)] = min(t, s) q(x, y).
-    grid = TimeGrid(0, 0.5, 4)
+    grid = TimeGrid(0.5, 4)
     coeff = _ensemble_coefficients(SPEC, grid, RandomStream(19), 10_000)
     ex, ey = BASIS.evaluate(0.25), BASIS.evaluate(0.8)
     closed = 1.0 * float(np.sum(SPEC.eigenvalues * ex * ey))
@@ -115,7 +118,7 @@ def test_field_covariance_min_t_s():
 
 
 def test_independent_increments():
-    grid = TimeGrid(0, 0.25, 8)
+    grid = TimeGrid(0.25, 8)
     inc = sample_increments_block(SPEC, BASIS, grid, RandomStream(23), 0, 5_000)
     early = inc[:, :2, 0].sum(axis=1)  # W(0.5) - W(0)
     late = inc[:, 4:6, 0].sum(axis=1)  # W(1.5) - W(1.0)
@@ -129,7 +132,7 @@ def _ito_sums(spec, phi, inc):
 
 
 def test_ito_integral_zero_integrand():
-    grid = TimeGrid(0, 0.1, 10)
+    grid = TimeGrid(0.1, 10)
     inc = sample_increments_block(SPEC, BASIS, grid, RandomStream(29), 0, 1)
     assert np.all(_ito_sums(SPEC, np.zeros((10, N_MODES)), inc) == 0.0)
 
@@ -137,7 +140,7 @@ def test_ito_integral_zero_integrand():
 def test_ito_integral_constant_recovers_path():
     # A constant integrand of one sums the increments: the field
     # coefficients at the final time.
-    grid = TimeGrid(0, 0.1, 10)
+    grid = TimeGrid(0.1, 10)
     inc = sample_increments_block(SPEC, BASIS, grid, RandomStream(31), 0, 1)
     out = _ito_sums(SPEC, np.ones((10, N_MODES)), inc)
     coeff = _ensemble_coefficients(SPEC, grid, RandomStream(31), 1)
@@ -146,7 +149,7 @@ def test_ito_integral_constant_recovers_path():
 
 
 def test_ito_integral_mean_zero():
-    grid = TimeGrid(0, 0.05, 20)
+    grid = TimeGrid(0.05, 20)
     inc = sample_increments_block(SPEC, BASIS, grid, RandomStream(37), 0, 5_000)
     phi = np.cos(grid.times[:-1])[:, np.newaxis]
     sums = np.sqrt(SPEC.eigenvalues) * np.sum(phi * inc, axis=1)
@@ -156,7 +159,7 @@ def test_ito_integral_mean_zero():
 
 def test_scalar_ito_isometry():
     # E [int_0^T sin(pi s) dW_n]^2 = int_0^T sin^2(pi s) ds (quadrature oracle).
-    grid = TimeGrid(0, 1e-3, 1000)
+    grid = TimeGrid(1e-3, 1000)
     spec = CovarianceSpectrum.finite([1.0] + [0.0] * (N_MODES - 1))
     inc = sample_increments_block(spec, BASIS, grid, RandomStream(41), 0, 10_000)
     integrals = np.sum(np.sin(np.pi * grid.times[:-1])[:, np.newaxis] * inc[:, :, :1], axis=1)
@@ -167,7 +170,7 @@ def test_scalar_ito_isometry():
 
 def test_generalized_ito_isometry_diagonal():
     # E <int_0^a F dW, int_0^b G dW> = sum_n q_n int_0^{min(a,b)} F_n G_n.
-    grid = TimeGrid(0, 0.05, 20)
+    grid = TimeGrid(0.05, 20)
     t_left = grid.times[:-1]
     f_phi = np.stack([np.sin((n + 1) * t_left) for n in range(N_MODES)], axis=1)
     g_phi = np.stack([np.cos((n + 1) * t_left) for n in range(N_MODES)], axis=1)
@@ -187,4 +190,4 @@ def test_generalized_ito_isometry_diagonal():
 def test_dimension_mismatch_rejected():
     small = DirichletBasis(1.0, 3)
     with pytest.raises(ValueError):
-        sample_increments_block(SPEC, small, TimeGrid(0, 0.1, 5), RandomStream(1), 0, 2)
+        sample_increments_block(SPEC, small, TimeGrid(0.1, 5), RandomStream(1), 0, 2)
