@@ -22,12 +22,12 @@ constant of the interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .hilbert import CovarianceSpectrum, DirichletBasis
-from .montecarlo import EnsembleStats, RandomStream, map_blocks, pairwise_stats
+from .montecarlo import RandomStream
 from .wiener import TimeGrid
 
 # Abort a sample once ||u||^2 exceeds this multiple of its natural scale.
@@ -95,14 +95,6 @@ class BurgersProblem:
         return self.basis.eigenvalues
 
 
-@dataclass(frozen=True)
-class EnergyEnsemble:
-    """Per-step statistics of ||u||^2 across an ensemble (pairwise merge)."""
-
-    stats: EnsembleStats
-    divergence_count: int
-
-
 @lru_cache(maxsize=8)
 def _transforms(n_modes: int, length: float):
     """Collocation matrices for the dealiased nonlinearity.
@@ -151,7 +143,7 @@ def blowup_threshold(prob: BurgersProblem, e2_init: float) -> float:
     """Energy level treated as divergence: 1e6 x (initial + asymptotic scale)."""
     asymptote = 0.0
     if isinstance(prob.noise, AdditiveNoise):
-        asymptote = energy_bound_additive(prob, np.inf, 0.0)
+        asymptote = energy_bound(prob, np.inf, 0.0)
     return BLOWUP_FACTOR * (e2_init + asymptote + 1e-30)
 
 
@@ -177,18 +169,19 @@ def _draw_shape(prob: BurgersProblem, grid: TimeGrid) -> tuple:
 
 
 def _evolve_block(prob: BurgersProblem, grid: TimeGrid, batch: int, draw_chunks):
-    """Energy traces of ``batch`` samples driven by standard normals.
+    """Energy traces e2 [batch, steps+1] of ``batch`` samples driven by
+    standard normals.
 
     ``draw_chunks`` yields consecutive time slices [batch, r, ...] of the
-    draws [batch, *_draw_shape].  Returns (e2 [B, steps+1], diverged_step
-    [B], int, -1 when clean).  Diverged samples are frozen and their
-    remaining energies set to NaN; they never contaminate other rows.
+    draws [batch, *_draw_shape].  A sample whose energy turns non-finite or
+    crosses the blow-up threshold is reset to zero and its energies are NaN
+    from that step on; it never contaminates other rows.
     """
     coeffs = np.tile(prob.init_coeffs, (batch, 1))
     e2 = np.empty((batch, grid.steps + 1))
     e2[:, 0] = np.sum(coeffs**2, axis=1)
     threshold = blowup_threshold(prob, float(np.sum(prob.init_coeffs**2)))
-    diverged = np.full(batch, -1, dtype=int)
+    dead = np.zeros(batch, dtype=bool)
 
     limit = dt_max(prob, prob.init_coeffs)
     if grid.dt > limit:
@@ -199,87 +192,47 @@ def _evolve_block(prob: BurgersProblem, grid: TimeGrid, batch: int, draw_chunks)
         for k, draws in enumerate(step_draws):
             coeffs = _apply_step(prob, coeffs, grid.dt, draws)
             energy = np.sum(coeffs**2, axis=1)
-            bad = (~np.isfinite(energy)) | (energy > threshold)
-            newly = bad & (diverged < 0)
+            newly = ~dead & ((~np.isfinite(energy)) | (energy > threshold))
             if np.any(newly):
-                diverged[newly] = k + 1
+                dead |= newly
                 coeffs[newly] = 0.0
-                energy = np.sum(coeffs**2, axis=1)
-            e2[:, k + 1] = energy
-    for j in np.flatnonzero(diverged >= 0):
-        e2[j, diverged[j] :] = np.nan
-    return e2, diverged
+            e2[:, k + 1] = np.where(dead, np.nan, energy)
+    return e2
 
 
 def trace_block(
     prob: BurgersProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Energy traces for samples [start, stop), keyed by sample index.
+) -> np.ndarray:
+    """Energy traces [stop - start, steps+1] for samples [start, stop),
+    keyed by sample index.
 
-    The draws arrive in the time slices of ``RandomStream.block_chunks``,
-    so the block never holds all of them at once.
+    A diverged sample's row is NaN from its abort step on, so the samples
+    that diverged are ``np.isnan(e2[:, -1])``.  The draws arrive in the time
+    slices of ``RandomStream.block_chunks``, so the block never holds all of
+    them at once.
     """
     draws = stream.block_chunks(start, stop, _draw_shape(prob, grid))
     return _evolve_block(prob, grid, stop - start, draws)
 
 
-def simulate_energy_ensemble(
-    prob: BurgersProblem,
-    grid: TimeGrid,
-    samples: int,
-    stream: RandomStream,
-    *,
-    workers: int = 1,
-) -> EnergyEnsemble:
-    """Statistics of ||u(t_k)||^2 across an ensemble, reduced with
-    :func:`~spde_lab.montecarlo.pairwise_stats`.
+def energy_bound(prob: BurgersProblem, t, e2_init: float):
+    """Gronwall bound on E||u(t)||^2 for the problem's noise model.
 
-    Sample i is keyed by ``stream.child(i)`` and blocks have a fixed
-    canonical size, so the result is bit-identical for any worker count.
-    Blown-up samples are counted and leave NaNs in the statistics rather
-    than being dropped.
+    Additive:       e0 exp(-2 nu t / c)
+                    + (c sigma^2 l Tr(Q) / (2 nu)) (1 - exp(-2 nu t / c)).
+    Multiplicative: e0 exp((sigma^2 - 2 nu / c) t).
     """
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    fn = partial(trace_block, prob, grid, stream)
-    e2, diverged = map_blocks(fn, samples, workers=workers)
-    return EnergyEnsemble(pairwise_stats(e2), int(np.sum(diverged >= 0)))
-
-
-def energy_bound_additive(prob: BurgersProblem, t, e2_init: float):
-    """Gronwall mean-energy bound under additive forcing.
-
-    E||u(t)||^2 <= e0 exp(-2 nu t / c)
-                   + (c sigma^2 l Tr(Q) / (2 nu)) (1 - exp(-2 nu t / c)).
-    """
-    if not isinstance(prob.noise, AdditiveNoise):
-        raise ValueError("additive bound requires an additive-noise problem")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
     c = prob.poincare_c
-    decay = np.exp(-2 * prob.nu * t / c)
-    forcing = prob.sigma**2 * prob.length * prob.noise.spectrum.trace
-    out = e2_init * decay + c * forcing / (2 * prob.nu) * (1 - decay)
-    return float(out) if out.ndim == 0 else out
-
-
-def energy_bound_multiplicative(prob: BurgersProblem, t, e2_init: float):
-    """Gronwall mean-energy bound e0 exp((sigma^2 - 2 nu / c) t)."""
-    if not isinstance(prob.noise, MultiplicativeNoise):
-        raise ValueError("multiplicative bound requires a multiplicative-noise problem")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    out = e2_init * np.exp((prob.sigma**2 - 2 * prob.nu / prob.poincare_c) * t)
-    return float(out) if out.ndim == 0 else out
-
-
-def energy_bound(prob: BurgersProblem, t, e2_init: float):
-    """The mean-energy bound of the problem's noise model."""
     if isinstance(prob.noise, AdditiveNoise):
-        return energy_bound_additive(prob, t, e2_init)
-    return energy_bound_multiplicative(prob, t, e2_init)
+        decay = np.exp(-2 * prob.nu * t / c)
+        forcing = prob.sigma**2 * prob.length * prob.noise.spectrum.trace
+        out = e2_init * decay + c * forcing / (2 * prob.nu) * (1 - decay)
+    else:
+        out = e2_init * np.exp((prob.sigma**2 - 2 * prob.nu / c) * t)
+    return float(out) if out.ndim == 0 else out
 
 
 def exit_probability_bound(prob: BurgersProblem, t, e2_init: float, delta: float):

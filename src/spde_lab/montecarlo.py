@@ -79,9 +79,15 @@ class RandomStream:
 
         Row ``i - start`` holds ``child(i).generator().standard_normal(shape)``,
         so a sample's draws do not depend on the block it falls in: the
-        slices of :meth:`block_chunks`, joined along the time axis.
+        slices of :meth:`block_chunks`, written one after another into one
+        preallocated array.
         """
-        return np.concatenate(list(self.block_chunks(start, stop, shape)), axis=1)
+        out = np.empty((stop - start, *np.atleast_1d(shape)))
+        r0 = 0
+        for chunk in self.block_chunks(start, stop, shape):
+            out[:, r0 : r0 + chunk.shape[1]] = chunk
+            r0 += chunk.shape[1]
+        return out
 
 
 @dataclass
@@ -343,15 +349,15 @@ def _one_blas_thread():
             _set_blas_threads(before)
 
 
-def map_blocks(fn, n_samples: int, *, workers: int = 1):
+def map_blocks(fn, n_samples: int, *, workers: int = 1) -> np.ndarray:
     """Evaluate ``fn(start, stop)`` over canonical sample blocks.
 
     Blocks are consecutive index ranges of ``BLOCK_SIZE`` samples; the
     layout depends only on ``n_samples``, never on ``workers``, so the
     assembled output is identical for any worker count.  ``fn`` must be
-    picklable when ``workers > 1`` and may return one array or a tuple of
-    arrays (each with the sample axis first).  Each block's output is
-    written into preallocated ``[n_samples, ...]`` arrays as it arrives.
+    picklable when ``workers > 1`` and returns one array with the sample
+    axis first.  Each block's array is written into one preallocated
+    ``[n_samples, ...]`` array, of the first block's dtype, as it arrives.
 
     Every block runs on one BLAS thread, in this process or in each of at
     most ``min(workers, blocks)`` worker processes: the bits of a matrix
@@ -377,9 +383,7 @@ def map_blocks(fn, n_samples: int, *, workers: int = 1):
     with _one_blas_thread(), executor as pool:
         parts = (pool.map if pool else map)(fn, starts, stops)
         for a, b, part in zip(starts, stops, parts):
-            pieces = part if isinstance(part, tuple) else (part,)
             if out is None:
-                out = tuple(np.empty((n_samples, *p.shape[1:]), p.dtype) for p in pieces)
-            for dest, piece in zip(out, pieces):
-                dest[a:b] = piece
-    return out if isinstance(part, tuple) else out[0]
+                out = np.empty((n_samples, *part.shape[1:]), part.dtype)
+            out[a:b] = part
+    return out

@@ -13,15 +13,13 @@ from spde_lab.burgers import (
     StepSizeError,
     blowup_threshold,
     dt_max,
-    energy_bound_additive,
-    energy_bound_multiplicative,
+    energy_bound,
     exit_probability_bound,
-    simulate_energy_ensemble,
     skew_nonlinearity,
     trace_block,
 )
 from spde_lab.hilbert import CovarianceSpectrum, HilbertVector
-from spde_lab.montecarlo import RandomStream
+from spde_lab.montecarlo import RandomStream, map_blocks, pairwise_stats
 from spde_lab.wiener import TimeGrid
 
 N = 32
@@ -36,6 +34,12 @@ def _additive(nu=0.1, sigma=0.5, spectrum="power:2", amp=0.5, length=1.0, poinca
 def _multiplicative(nu=0.5, sigma=1.0, amp=0.5):
     u0 = HilbertVector.unit(N, 1, amp).coeffs
     return BurgersProblem(nu, 1.0, sigma, MultiplicativeNoise(), u0)
+
+
+def _ensemble(prob, grid, samples, stream, workers=1):
+    """Energy traces of an ensemble, as the CLI runs it, and their statistics."""
+    e2 = map_blocks(partial(trace_block, prob, grid, stream), samples, workers=workers)
+    return e2, pairwise_stats(e2)
 
 
 def test_problem_validation():
@@ -55,15 +59,15 @@ def test_zero_state_is_fixed_point():
         0.1, 1.0, 0.0, AdditiveNoise(CovarianceSpectrum.power(2, N)), np.zeros(N)
     )
     grid = TimeGrid(1e-3, 50)
-    e2, _ = trace_block(prob, grid, RandomStream(1), 0, 1)
+    e2 = trace_block(prob, grid, RandomStream(1), 0, 1)
     np.testing.assert_array_equal(e2[0], np.zeros(grid.steps + 1))
 
 
 def test_noiseless_energy_monotone():
     prob = _additive(sigma=0.0)
     grid = TimeGrid(1e-3, 500)
-    e2, diverged = trace_block(prob, grid, RandomStream(2), 0, 1)
-    assert diverged[0] == -1
+    e2 = trace_block(prob, grid, RandomStream(2), 0, 1)
+    assert not np.isnan(e2).any()
     assert np.all(np.diff(e2[0]) <= 1e-15)
 
 
@@ -121,8 +125,8 @@ def test_step_rejects_large_dt():
 def test_step_deterministic_given_key():
     prob = _additive()
     grid = TimeGrid(1e-3, 1)
-    a, _ = trace_block(prob, grid, RandomStream(5), 9, 10)
-    b, _ = trace_block(prob, grid, RandomStream(5), 9, 10)
+    a = trace_block(prob, grid, RandomStream(5), 9, 10)
+    b = trace_block(prob, grid, RandomStream(5), 9, 10)
     assert np.array_equal(a, b)
 
 
@@ -133,8 +137,7 @@ def test_step_detects_blow_up():
     spec = CovarianceSpectrum.parse("finite:1", N)
     prob = BurgersProblem(1e12, 1.0, 1.0, AdditiveNoise(spec), np.zeros(N))
     assert blowup_threshold(prob, 0.0) < 1e-6
-    e2, diverged = trace_block(prob, TimeGrid(1e-3, 3), RandomStream(6), 0, 1)
-    assert diverged[0] == 1
+    e2 = trace_block(prob, TimeGrid(1e-3, 3), RandomStream(6), 0, 1)
     assert e2[0, 0] == 0.0 and np.all(np.isnan(e2[0, 1:]))
 
 
@@ -153,14 +156,14 @@ def test_additive_bound_evaluator_values():
     u0 = HilbertVector.unit(N, 1, 0.1).coeffs
     prob = BurgersProblem(1.0, 1.0, 1.0, AdditiveNoise(spec), u0)
     e0 = float(np.sum(u0**2))
-    assert energy_bound_additive(prob, 0.0, e0) == e0
-    limit = energy_bound_additive(prob, 1e6, e0)
+    assert energy_bound(prob, 0.0, e0) == e0
+    limit = energy_bound(prob, 1e6, e0)
     assert limit == pytest.approx(1.0 / (2 * math.pi**2), rel=1e-9)
     assert limit == pytest.approx(0.050660, abs=1e-6)
     quiet = BurgersProblem(1.0, 1.0, 0.0, AdditiveNoise(spec), u0)
     c = quiet.poincare_c
     for t in (0.1, 0.5):
-        assert energy_bound_additive(quiet, t, e0) == pytest.approx(
+        assert energy_bound(quiet, t, e0) == pytest.approx(
             e0 * math.exp(-2 * t / c), rel=1e-12
         )
 
@@ -168,16 +171,16 @@ def test_additive_bound_evaluator_values():
 def test_multiplicative_bound_evaluator_values():
     prob = _multiplicative(nu=0.1, sigma=1.0)
     e0 = 0.25
-    assert energy_bound_multiplicative(prob, 0.0, e0) == e0
+    assert energy_bound(prob, 0.0, e0) == e0
     # Exponent sigma^2 - 2 nu / c = 1 - 0.2 pi^2.
     rate = 1.0 - 0.2 * math.pi**2
     assert rate == pytest.approx(-0.9739, abs=1e-4)
-    assert energy_bound_multiplicative(prob, 2.0, e0) == pytest.approx(
+    assert energy_bound(prob, 2.0, e0) == pytest.approx(
         e0 * math.exp(2 * rate), rel=1e-12
     )
     # sigma^2 = 2 nu / c gives a constant bound.
     balanced = _multiplicative(nu=0.5, sigma=math.sqrt(2 * 0.5 * math.pi**2))
-    assert energy_bound_multiplicative(balanced, 3.0, e0) == pytest.approx(e0, rel=1e-12)
+    assert energy_bound(balanced, 3.0, e0) == pytest.approx(e0, rel=1e-12)
 
 
 def test_exit_probability_bound_values():
@@ -194,10 +197,10 @@ def test_exit_probability_bound_values():
 def test_additive_bound_dominates_monte_carlo():
     prob = _additive(nu=0.25, sigma=0.5)
     grid = TimeGrid(1e-3, 400)
-    ens = simulate_energy_ensemble(prob, grid, 200, RandomStream(7))
-    assert ens.divergence_count == 0
-    bound = energy_bound_additive(prob, grid.times, float(np.sum(prob.init_coeffs**2)))
-    slack = np.asarray(ens.stats.mean) - bound - 3 * np.asarray(ens.stats.stderr)
+    e2, stats = _ensemble(prob, grid, 200, RandomStream(7))
+    assert not np.isnan(e2).any()
+    bound = energy_bound(prob, grid.times, float(np.sum(prob.init_coeffs**2)))
+    slack = np.asarray(stats.mean) - bound - 3 * np.asarray(stats.stderr)
     assert np.all(slack <= 0)
 
 
@@ -207,18 +210,18 @@ def test_multiplicative_bound_dominates_both_regimes():
     threshold = math.sqrt(2 * 0.5 * math.pi**2)
     for sigma in (0.8 * threshold, 1.1 * threshold):
         prob = _multiplicative(nu=0.5, sigma=sigma)
-        ens = simulate_energy_ensemble(prob, grid, 300, RandomStream(8))
-        bound = energy_bound_multiplicative(prob, grid.times, e0)
-        slack = np.asarray(ens.stats.mean) - bound - 3 * np.asarray(ens.stats.stderr)
+        e2, stats = _ensemble(prob, grid, 300, RandomStream(8))
+        bound = energy_bound(prob, grid.times, e0)
+        slack = np.asarray(stats.mean) - bound - 3 * np.asarray(stats.stderr)
         assert np.all(np.isnan(slack) | (slack <= 0))
-        assert ens.divergence_count == 0
+        assert not np.isnan(e2).any()
 
 
 def test_chebyshev_exit_frequency():
     prob = _multiplicative(nu=0.5, sigma=1.0)
     grid = TimeGrid(1e-3, 500)
-    e2, diverged = trace_block(prob, grid, RandomStream(9), 0, 1000)
-    assert np.all(diverged < 0)
+    e2 = trace_block(prob, grid, RandomStream(9), 0, 1000)
+    assert not np.isnan(e2).any()
     e0 = float(np.sum(prob.init_coeffs**2))
     delta = 0.6
     for k in (100, 250, 500):
@@ -256,13 +259,10 @@ def test_ensemble_worker_invariance(monkeypatch):
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 32)
     prob = _additive(nu=0.25, sigma=0.5)
     grid = TimeGrid(1e-3, 100)
-    runs = {
-        w: simulate_energy_ensemble(prob, grid, 96, RandomStream(11), workers=w)
-        for w in (1, 2, 8)
-    }
+    runs = {w: _ensemble(prob, grid, 96, RandomStream(11), workers=w)[1] for w in (1, 2, 8)}
     for w in (2, 8):
-        assert np.array_equal(runs[1].stats.mean, runs[w].stats.mean)
-        assert np.array_equal(runs[1].stats.m2, runs[w].stats.m2)
+        assert np.array_equal(runs[1].mean, runs[w].mean)
+        assert np.array_equal(runs[1].m2, runs[w].m2)
 
 
 def test_ensemble_bytes_independent_of_blas_threads():
@@ -277,16 +277,16 @@ def test_ensemble_bytes_independent_of_blas_threads():
     spec = CovarianceSpectrum.parse("power:2", 64)
     prob = BurgersProblem(0.05, 1.0, 1.0, AdditiveNoise(spec), HilbertVector.unit(64, 1, 2.0).coeffs)
     grid = TimeGrid(1e-3, 100)
-    run = partial(simulate_energy_ensemble, prob, grid, 244, RandomStream(11))
+    run = partial(_ensemble, prob, grid, 244, RandomStream(11))
     before = montecarlo._set_blas_threads(1)
     try:
-        want = run()
+        _, want = run()
         montecarlo._set_blas_threads(2)
         for workers in (1, 2):
-            got = run(workers=workers)
+            _, got = run(workers=workers)
             assert get() == 2
-            assert np.array_equal(got.stats.mean, want.stats.mean)
-            assert np.array_equal(got.stats.m2, want.stats.m2)
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.m2, want.m2)
     finally:
         montecarlo._set_blas_threads(before)
 
@@ -295,16 +295,16 @@ def test_ensemble_reports_divergences():
     # A strongly growing multiplicative regime crosses the blow-up threshold.
     prob = _multiplicative(nu=0.01, sigma=6.0, amp=0.5)
     grid = TimeGrid(2e-4, 3000)
-    ens = simulate_energy_ensemble(prob, grid, 32, RandomStream(12))
-    assert ens.divergence_count > 0
-    assert np.isnan(np.asarray(ens.stats.mean)[-1])
+    e2, stats = _ensemble(prob, grid, 32, RandomStream(12))
+    assert np.isnan(e2[:, -1]).any()
+    assert np.isnan(np.asarray(stats.mean)[-1])
 
 
 def test_trace_matches_single_sample():
     prob = _additive()
     grid = TimeGrid(1e-3, 50)
-    block, _ = trace_block(prob, grid, RandomStream(13), 0, 3)
-    single, _ = trace_block(prob, grid, RandomStream(13), 1, 2)
+    block = trace_block(prob, grid, RandomStream(13), 0, 3)
+    single = trace_block(prob, grid, RandomStream(13), 1, 2)
     np.testing.assert_allclose(block[1], single[0], rtol=1e-12, atol=1e-16)
 
 
@@ -319,8 +319,7 @@ def test_trace_block_independent_of_chunk_rows(monkeypatch, make):
     for chunk_bytes in (1, 8 * batch * per_step * grid.steps):
         monkeypatch.setattr(montecarlo, "CHUNK_BYTES", chunk_bytes)
         runs.append(trace_block(prob, grid, RandomStream(14), 3, 3 + batch))
-    assert np.array_equal(runs[0][0], runs[1][0])
-    assert np.array_equal(runs[0][1], runs[1][1])
+    assert np.array_equal(runs[0], runs[1])
 
 
 def test_trace_block_memory_below_its_draws():
@@ -333,7 +332,7 @@ def test_trace_block_memory_below_its_draws():
     )
     tracemalloc.start()
     try:
-        e2, _ = trace_block(prob, TimeGrid(1e-3, steps), RandomStream(15), 0, batch)
+        e2 = trace_block(prob, TimeGrid(1e-3, steps), RandomStream(15), 0, batch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

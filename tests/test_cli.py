@@ -60,6 +60,32 @@ def test_bad_grid_exits_2(argv, capsys):
     assert "t-final" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["heat", "--epsilon", "inf"], "epsilon"),
+        (["lyapunov", "--gamma", "nan"], "gamma"),
+        (["burgers", "--sigma", "inf"], "sigma"),
+        (["burgers", "--poincare-c", "inf"], "poincare-c"),
+        (["wave", "--epsilon=-inf"], "epsilon"),
+        (["heat", "--t-final", "inf"], "t-final"),
+    ],
+)
+def test_non_finite_float_flag_exits_2(tmp_path, capsys, argv, flag):
+    # A float flag that is inf or nan is a usage error naming the flag, not
+    # a run to the end that exits 1 as a statistical failure.
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert f"--{flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exits_2(tmp_path, capsys, workers):
+    assert run(["wiener", "--workers", workers, "--out", str(tmp_path / "o")]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no-such-flag": 1}))
@@ -151,7 +177,9 @@ def test_config_null_means_unset(tmp_path, capsys):
     assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
 
 
-@pytest.mark.parametrize("entry", [{"samples": [3]}, {"samples": 2.5}, {"seed": True}])
+@pytest.mark.parametrize(
+    "entry", [{"samples": [3]}, {"samples": 2.5}, {"seed": True}, {"epsilon": math.inf}]
+)
 def test_config_bad_value_exits_2(tmp_path, capsys, entry):
     # File values are parsed as flags: what --samples=2.5 rejects, the file
     # does too, with argparse's message and no traceback.

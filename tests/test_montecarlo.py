@@ -78,6 +78,19 @@ def test_block_chunks_concatenate_to_block_normals(monkeypatch, shape, rows):
     assert np.array_equal(stream.block_normals(5, 9, shape), expected)
 
 
+def test_block_normals_fill_one_array():
+    # 64 samples x 200 steps x 64 x 2: a 12.5 MiB result; the slices are written
+    # into it one at a time instead of being held and then joined.
+    tracemalloc.start()
+    try:
+        block = RandomStream(1).block_normals(0, 64, (200, 64, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (64, 200, 64, 2)
+    assert peak < 1.5 * block.nbytes
+
+
 def _loop_child_calls(tree) -> set:
     """Lines of ``.child(`` calls made inside a loop or comprehension."""
     loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
@@ -325,20 +338,19 @@ def test_map_blocks_order_and_block_invariance(monkeypatch):
     np.testing.assert_array_equal(out, out_workers)
 
 
-def _block_pair(start, stop):
-    return _block_identity(start, stop), np.arange(start, stop) % 3
+def _block_flags(start, stop):
+    return np.arange(start, stop) % 3
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_map_blocks_matches_concatenated_blocks(monkeypatch, workers):
-    # 300 samples in blocks of 64 end in a ragged block of 44.
+    # 300 samples in blocks of 64 end in a ragged block of 44; a float and
+    # an int kernel each fill one array of their own dtype.
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 64)
-    parts = [_block_pair(a, min(a + 64, 300)) for a in range(0, 300, 64)]
-    values, flags = map_blocks(_block_pair, 300, workers=workers)
-    for got, pieces in zip((values, flags), zip(*parts)):
-        want = np.concatenate(pieces)
+    for block in (_block_identity, _block_flags):
+        want = np.concatenate([block(a, min(a + 64, 300)) for a in range(0, 300, 64)])
+        got = map_blocks(block, 300, workers=workers)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(map_blocks(_block_identity, 300, workers=workers), values)
 
 
 def test_map_blocks_worker_invariance_bitwise(monkeypatch):
