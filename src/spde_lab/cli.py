@@ -4,7 +4,8 @@ Each subcommand builds a problem, declares its closed-form-vs-Monte Carlo
 comparisons as a table of :class:`Check` rows for one runner, and writes
 ``report.csv``, ``summary.json`` and ``series_*.csv`` into ``--out``.  Exit
 status is 0 when every gating comparison passes, 1 on a statistical
-failure and 2 on a usage or configuration error.
+failure, 2 on a usage or configuration error (a :class:`ConfigError` names
+the flag) and 3 on an internal error: any other exception, traceback on stderr.
 
 Flags are long-form kebab-case.  Every flag has a config-file equivalent:
 ``--config file.json`` reads a JSON object whose keys equal the flag names.
@@ -26,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -204,12 +206,19 @@ def _checkpoints(steps: int) -> list[int]:
     return sorted({max(1, round(j * steps / 5)) for j in range(1, 6)})
 
 
-def _unit_or_zero(n_modes: int, mode: int) -> HilbertVector:
-    if mode == 0:
-        return HilbertVector(np.zeros(n_modes))
-    if not 1 <= mode <= n_modes:
-        raise ConfigError(f"mode index {mode} outside 1..{n_modes}")
-    return HilbertVector.unit(n_modes, mode)
+def _unit_or_zero(cfg: dict, name: str) -> HilbertVector:
+    if cfg[name] == 0:
+        return HilbertVector(np.zeros(cfg["modes"]))
+    if not 1 <= cfg[name] <= cfg["modes"]:
+        raise ConfigError(f"--{name} {cfg[name]} outside 0..{cfg['modes']} (--modes)")
+    return HilbertVector.unit(cfg["modes"], cfg[name])
+
+
+def _spectrum(cfg: dict) -> CovarianceSpectrum:
+    try:
+        return CovarianceSpectrum.parse(cfg["spectrum"], cfg["modes"])
+    except ValueError as exc:
+        raise ConfigError(f"--spectrum {cfg['spectrum']!r}: {exc}") from exc
 
 
 class Check(NamedTuple):
@@ -363,7 +372,7 @@ def _run_wiener(cfg: dict) -> tuple[Report, dict]:
     _require_positive(cfg, "modes", "l")
     grid = _grid(cfg)
     basis = DirichletBasis(cfg["l"], cfg["modes"])
-    spec = CovarianceSpectrum.parse(cfg["spectrum"], cfg["modes"])
+    spec = _spectrum(cfg)
     stream = RandomStream(cfg["seed"])
     n = cfg["modes"]
 
@@ -406,12 +415,9 @@ _PUMPING_NOTE = (
 def _run_wave(cfg: dict) -> tuple[Report, dict]:
     _require_positive(cfg, "modes", "c", "l")
     grid = _grid(cfg)
-    n = cfg["modes"]
-    spec = CovarianceSpectrum.parse(cfg["spectrum"], n)
-    f = _unit_or_zero(n, cfg["f-mode"])
-    g = _unit_or_zero(n, cfg["g-mode"])
+    f, g = _unit_or_zero(cfg, "f-mode"), _unit_or_zero(cfg, "g-mode")
     prob = wave.WaveProblem.from_initial_conditions(
-        f, g, wave_speed=cfg["c"], length=cfg["l"], epsilon=cfg["epsilon"], spectrum=spec
+        f, g, wave_speed=cfg["c"], length=cfg["l"], epsilon=cfg["epsilon"], spectrum=_spectrum(cfg)
     )
     values, checks = _field_experiment(
         cfg, grid, prob, wave.simulate_block, [i * cfg["l"] / 6 for i in range(1, 6)],
@@ -447,7 +453,10 @@ def _run_heat(cfg: dict) -> tuple[Report, dict]:
     if cfg["samples"] < 4:
         raise ConfigError("heat needs --samples of at least 4 (two correlation batches)")
     grid = _grid(cfg)
-    prob = heat.HeatProblem(cfg["epsilon"], _unit_or_zero(cfg["modes"], cfg["init-mode"]).coeffs)
+    prob = heat.HeatProblem(cfg["epsilon"], _unit_or_zero(cfg, "init-mode").coeffs)
+    if not all(heat.variance_closed_form(prob, t) > 0 for t in grid.times[_checkpoints(grid.steps)]):
+        raise ConfigError("heat's correlation rows need a nonzero variance at every checkpoint: "
+                          "check --epsilon, --init-mode and --t-final")
     _, checks = _field_experiment(
         cfg, grid, prob, heat.simulate_block, [0.25, 0.5, 0.75],
         *(partial(fn, prob) for fn in (
@@ -484,7 +493,7 @@ def _run_lyapunov(cfg: dict) -> tuple[Report, dict]:
 
     if cfg["gamma"] != 0:
         stderr = estimate.stderr
-        band_note = "tolerance band 3*sqrt(6/5)*gamma/sqrt(t-final - t-burn)"
+        band_note = "tolerance band 3*sqrt(6/5)*|gamma|/sqrt(W), W = span of the fitted grid times"
     else:
         stderr, band_note = 1e-9 / 3, "tolerance 1e-9 (deterministic path)"
     checks = [
@@ -513,19 +522,23 @@ def _run_lyapunov(cfg: dict) -> tuple[Report, dict]:
 def _run_burgers(cfg: dict) -> tuple[Report, dict]:
     _require_positive(cfg, "modes", "nu", "l", "delta", "init-amp")
     grid = _grid(cfg)
-    n = cfg["modes"]
     if cfg["noise"] == "additive":
-        noise = burgers.AdditiveNoise(CovarianceSpectrum.parse(cfg["spectrum"], n))
+        noise = burgers.AdditiveNoise(_spectrum(cfg))
     elif cfg["noise"] == "multiplicative":
         noise = burgers.MultiplicativeNoise()
     else:
         raise ConfigError(f"--noise must be additive or multiplicative, got {cfg['noise']!r}")
-    u0 = _unit_or_zero(n, cfg["init-mode"]).coeffs * cfg["init-amp"]
-    # An invalid problem and a step above the CFL limit raise ValueError
-    # (exit 2), like a ConfigError.
-    prob = burgers.BurgersProblem(cfg["nu"], cfg["l"], cfg["sigma"], noise, u0, cfg["poincare-c"])
+    u0 = _unit_or_zero(cfg, "init-mode").coeffs * cfg["init-amp"]
+    try:  # the flags checked above leave only the Poincare constant to reject
+        prob = burgers.BurgersProblem(cfg["nu"], cfg["l"], cfg["sigma"], noise, u0,
+                                      cfg["poincare-c"])
+    except ValueError as exc:
+        raise ConfigError(f"--poincare-c {cfg['poincare-c']:g}: {exc}") from exc
     fn = partial(burgers.trace_block, prob, grid, RandomStream(cfg["seed"]).child(0))
-    e2 = map_blocks(fn, cfg["samples"], workers=cfg["workers"])
+    try:
+        e2 = map_blocks(fn, cfg["samples"], workers=cfg["workers"])
+    except burgers.StepSizeError as exc:
+        raise ConfigError(f"--dt {cfg['dt']:g}: {exc}") from exc
     divergence_count = int(np.sum(np.isnan(e2[:, -1])))
     e2_init = float(np.sum(u0**2))
     bound = burgers.energy_bound(prob, grid.times, e2_init)
@@ -603,20 +616,22 @@ def run(argv=None) -> int:
     try:
         cfg = _resolve_config(sys.argv[1:] if argv is None else list(argv))
         report, series = _EXPERIMENTS[cfg["subcommand"]](cfg)
+        out_dir = Path(cfg["out"])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_report_csv(report, out_dir / "report.csv")
+        write_summary_json(report, out_dir / "summary.json")
+        flags = {k: v for k, v in cfg.items() if k != "subcommand"}
+        (out_dir / "config.json").write_text(json.dumps(flags, indent=2, sort_keys=True) + "\n")
+        for filename, columns in series.items():
+            write_series_csv(out_dir / filename, columns)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_report_csv(report, out_dir / "report.csv")
-    write_summary_json(report, out_dir / "summary.json")
-    flags = {k: v for k, v in cfg.items() if k != "subcommand"}
-    (out_dir / "config.json").write_text(json.dumps(flags, indent=2, sort_keys=True) + "\n")
-    for filename, columns in series.items():
-        write_series_csv(out_dir / filename, columns)
+    except Exception:  # a defect: neither a usage error nor a statistical failure
+        print(f"{traceback.format_exc()}internal error", file=sys.stderr)
+        return 3
 
     _print_report(report)
     counts = report.counts()

@@ -99,7 +99,7 @@ class HilbertVector:
 
 @dataclass(frozen=True)
 class CovarianceSpectrum:
-    """Eigenvalues q_n >= 0 of the noise covariance operator, basis-aligned."""
+    """Finite eigenvalues q_n >= 0 of the noise covariance operator, basis-aligned."""
 
     eigenvalues: np.ndarray
 
@@ -107,8 +107,8 @@ class CovarianceSpectrum:
         arr = np.array(self.eigenvalues, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("spectrum must be a nonempty 1-d sequence")
-        if np.any(arr < 0):
-            raise ValueError("covariance eigenvalues must be nonnegative")
+        if not np.all((arr >= 0) & (arr < np.inf)):
+            raise ValueError("covariance eigenvalues must be finite and nonnegative")
         arr.setflags(write=False)
         object.__setattr__(self, "eigenvalues", arr)
 

@@ -9,8 +9,8 @@ stochastic integrals I_sin = int_0^t sin(mu_n s) dW_n, I_cos likewise with
 cosine.  Per time step the increment pair (dI_sin, dI_cos) is drawn from
 its exact bivariate Gaussian law (closed-form antiderivatives of sin^2,
 cos^2 and sin*cos), so grid marginals carry no time-discretization bias.
-Velocity is carried explicitly so energy evaluation needs no numerical
-time differentiation.
+The energy is formed from the amplitudes p_n and q_n (the brackets above),
+E = (1/2) sum_n mu_n^2 (p_n^2 + q_n^2), so no velocity is carried.
 
 All variance/covariance statistics are Hilbert-space (L2-in-x) moments
 E<u - Eu, u - Eu>; pointwise-in-x variance is not provided.
@@ -95,63 +95,58 @@ class WaveProblem:
         return cls(wave_speed, length, epsilon, spectrum, a, b)
 
 
-def _increment_cholesky(prob: WaveProblem, grid: TimeGrid):
-    """Lower Cholesky factors of the per-step (dI_sin, dI_cos) covariance.
+def _increment_factors(prob: WaveProblem, grid: TimeGrid):
+    """Factors of the per-step amplitude increments dp = -g l11 z1 and
+    dq = g (l21 z1 + l22 z2) drawn from two standard normals (z1, z2).
 
-    Returns (l11, l21, l22), each of shape [steps, n_modes].  Over a step
-    [t, t+dt] the exact second moments are
+    Returns g (-l11, l22) on a last axis [steps, N, 2] and g l21 [steps, N],
+    where (l11, l21, l22) is the lower Cholesky factor of the per-step
+    (dI_sin, dI_cos) covariance.  Over a step [t, t+dt] its exact moments are
 
         var(dI_sin) = dt/2 - [sin(2 mu (t+dt)) - sin(2 mu t)] / (4 mu)
         var(dI_cos) = dt/2 + [sin(2 mu (t+dt)) - sin(2 mu t)] / (4 mu)
         cov         = [cos(2 mu t) - cos(2 mu (t+dt))] / (4 mu)
     """
     mu = prob.angular_freqs
-    t0 = grid.times[:-1, np.newaxis]
-    t1 = grid.times[1:, np.newaxis]
-    sin_term = (np.sin(2 * mu * t1) - np.sin(2 * mu * t0)) / (4 * mu)
+    phase = 2 * mu * grid.times[:, np.newaxis]
+    sin2, cos2 = np.sin(phase), np.cos(phase)
+    sin_term = (sin2[1:] - sin2[:-1]) / (4 * mu)
     var_sin = grid.dt / 2 - sin_term
     var_cos = grid.dt / 2 + sin_term
-    cov = (np.cos(2 * mu * t0) - np.cos(2 * mu * t1)) / (4 * mu)
+    cov = (cos2[:-1] - cos2[1:]) / (4 * mu)
     l11 = np.sqrt(var_sin)
     l21 = cov / l11
     schur = var_cos - l21**2
     schur = np.where(schur < _CHOLESKY_PIVOT_TOL * var_cos, 0.0, schur)
-    l22 = np.sqrt(schur)
-    return l11, l21, l22
+    gain = prob.epsilon * np.sqrt(prob.spectrum.eigenvalues) / mu
+    return np.stack([-gain * l11, gain * np.sqrt(schur)], axis=-1), gain * l21
 
 
 def _chunks(prob: WaveProblem, grid: TimeGrid, draw_chunks):
     """Evolve batched draws through the time grid, one time slice at a time.
 
     ``draw_chunks`` yields consecutive slices [batch, r, N, 2] of the
-    per-step draws, which become the (dI_sin, dI_cos) increments in place.
-    Yields ``(r0, u, v)`` for the grid rows from ``r0`` that
-    :func:`~spde_lab.wiener.running_sums` completes with each slice, so no
-    array spans the whole grid unless one slice covers it, and the values
-    do not depend on the slicing.
+    per-step draws, which become in place the increments of the amplitudes
+    (p, q) = (A - g I_sin, B + g I_cos).  Yields ``(r0, pq)``, a new array
+    pq [batch, r, N, 2] for the grid rows from ``r0`` that
+    :func:`~spde_lab.wiener.running_sums` completes (and carries on from)
+    with each slice, so no array spans the whole grid unless one slice
+    covers it, and the values do not depend on the slicing.
     """
-    l11, l21, l22 = _increment_cholesky(prob, grid)
-    mu = prob.angular_freqs
-    gain = prob.epsilon * np.sqrt(prob.spectrum.eigenvalues) / mu
-    phase = mu * grid.times[:, np.newaxis]
-    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    diagonal, a21 = _increment_factors(prob, grid)
+    amps = np.stack([prob.cos_amps, prob.sin_amps], axis=-1)
 
     def increments(a=0):
         for z in draw_chunks:  # the steps a..b-1
             b = a + z.shape[1]
-            z[..., 1] = l21[a:b] * z[..., 0] + l22[a:b] * z[..., 1]
-            z[..., 0] *= l11[a:b]
+            dq = a21[a:b] * z[..., 0]
+            z *= diagonal[a:b]
+            z[..., 1] += dq
             yield z
             a = b
 
-    for r0, i in running_sums(increments()):
-        r1 = r0 + i.shape[1]
-        c, s = cos_p[r0:r1], sin_p[r0:r1]
-        p = prob.cos_amps - gain * i[..., 0]
-        q = prob.sin_amps + gain * i[..., 1]
-        u = p * c + q * s
-        v = mu * (q * c - p * s)
-        yield r0, u, v
+    for r0, sums in running_sums(increments()):
+        yield r0, sums + amps
 
 
 def simulate_block(
@@ -164,24 +159,33 @@ def simulate_block(
     distribution.  Without ``keep``, returns (u, v) of shape
     [batch, steps+1, n_modes].  With grid indices ``keep``, returns
     (u_keep, energies) of shapes [batch, len(keep), n_modes] and
-    [batch, steps+1], equal bit for bit to ``u[:, keep]`` and
-    ``energy_block(prob, u, v)``; the draws and the time axis are then
-    walked in the time slices of ``RandomStream.block_chunks``, so the block
-    holds no [batch, steps, n_modes] array.
+    [batch, steps+1]: u_keep equals ``u[:, keep]`` bit for bit, and the
+    energies (1/2) sum_n mu_n^2 (p_n^2 + q_n^2) match
+    ``energy_block(prob, u, v)`` to rtol 1e-12, bitwise the same for any
+    slicing.  The draws and the time axis are then walked in the time
+    slices of ``RandomStream.block_chunks``, and u is formed at the kept
+    rows only, so the block holds no [batch, steps, n_modes] array.
     """
     shape = (grid.steps, prob.n_modes, 2)
+    mu = prob.angular_freqs
+    rows = np.arange(grid.steps + 1) if keep is None else grid.indices(keep)
+    phase = mu * grid.times[rows, np.newaxis]
+    c, s = np.cos(phase), np.sin(phase)
     if keep is None:
-        draws = stream.block_normals(start, stop, shape)
-        _, u, v = next(_chunks(prob, grid, [draws]))
-        return u, v
-    keep = grid.indices(keep)
-    u_keep = np.empty((stop - start, keep.size, prob.n_modes))
+        _, pq = next(_chunks(prob, grid, [stream.block_normals(start, stop, shape)]))
+        p, q = pq[..., 0], pq[..., 1]
+        return p * c + q * s, mu * (q * c - p * s)
+    half_mu2 = np.repeat(0.5 * mu**2, 2)
+    u_keep = np.empty((stop - start, rows.size, prob.n_modes))
     energies = np.empty((stop - start, grid.steps + 1))
-    for r0, u, v in _chunks(prob, grid, stream.block_chunks(start, stop, shape)):
-        r1 = r0 + u.shape[1]
-        energies[:, r0:r1] = energy_block(prob, u, v)
-        inside = (keep >= r0) & (keep < r1)
-        u_keep[:, inside] = u[:, keep[inside] - r0]
+    for r0, pq in _chunks(prob, grid, stream.block_chunks(start, stop, shape)):
+        r1 = r0 + pq.shape[1]
+        inside = (rows >= r0) & (rows < r1)
+        kept = pq[:, rows[inside] - r0]
+        u_keep[:, inside] = kept[..., 0] * c[inside] + kept[..., 1] * s[inside]
+        sq = np.square(pq, out=pq).reshape(*pq.shape[:2], -1)
+        # Not a BLAS product, whose sums depend on a row's place in the slice.
+        energies[:, r0:r1] = np.einsum("...k,k", sq, half_mu2)
     return u_keep, energies
 
 

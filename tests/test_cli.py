@@ -86,6 +86,59 @@ def test_workers_below_one_exits_2(tmp_path, capsys, workers):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["wave", "--spectrum", "finite:a"], "spectrum"),
+        (["wiener", "--spectrum", "power"], "spectrum"),
+        (["burgers", "--spectrum", "finite:-1"], "spectrum"),
+        (["wave", "--spectrum", "finite:nan"], "spectrum"),
+        (["wave", "--spectrum", "finite:1,1", "--modes", "1"], "spectrum"),
+        (["burgers", "--poincare-c", "0.01"], "poincare-c"),
+        (["burgers", "--dt", "0.5", "--t-final", "1", "--init-amp", "50"], "dt"),
+        (["burgers", "--dt", "0.5", "--t-final", "1", "--init-amp", "50", "--workers", "2",
+          "--samples", "200"], "dt"),
+        (["wave", "--f-mode", "17"], "f-mode"),
+        (["wave", "--g-mode", "-1"], "g-mode"),
+        (["heat", "--init-mode", "9"], "init-mode"),
+        (["burgers", "--init-mode", "65"], "init-mode"),
+        (["heat", "--epsilon", "0"], "epsilon"),
+        (["heat", "--init-mode", "0"], "init-mode"),
+        (["heat", "--init-mode", "8", "--t-final", "10"], "t-final"),
+    ],
+    ids=[
+        "spectrum-number", "spectrum-syntax", "spectrum-negative", "spectrum-nan",
+        "spectrum-too-long", "poincare-c", "cfl", "cfl-pool", "f-mode", "g-mode",
+        "heat-init-mode", "burgers-init-mode", "heat-epsilon-0", "heat-init-mode-0",
+        "heat-variance-underflow",
+    ],
+)
+def test_library_input_error_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    # The library's ValueError on a bad input reaches the user as a
+    # configuration error naming the flag, before any output is written.
+    samples = [] if "--samples" in argv else ["--samples", "20"]
+    code = run(argv + samples + ["--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"--{flag}" in err and "Traceback" not in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("error", [ValueError("bad"), RuntimeError("bad"), ZeroDivisionError()])
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, error):
+    # Any exception that is not a ConfigError is a defect: exit 3 with its
+    # traceback and "internal error" on stderr, not a usage error (2) or a
+    # statistical failure (1).
+    def broken(cfg):
+        raise error
+
+    monkeypatch.setitem(cli._EXPERIMENTS, "wiener", broken)
+    assert run(["wiener", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" in err and "Traceback" in err and type(error).__name__ in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no-such-flag": 1}))

@@ -36,8 +36,8 @@ PINS = {
         ["wave", "--modes", "4", "--c", "1.3", "--l", "0.7", "--g-mode", "2",
          "--dt", "0.05", "--t-final", "0.5", "--samples", "300"],
         {
-            "report.csv": "11aa8b4f6648c877284e3c4e53d2821b68d7ad2a625cd08f17950e7414272f5b",
-            "series_energy.csv": "751b4a19c755a50204b36c996605c1a8e4f07ce3d8a3004fa580003492a9d767",
+            "report.csv": "16f4034227e43fff7e8adb27be8742c7381f6da97295118600127a9d968b05fc",
+            "series_energy.csv": "e1c936e6dc71d8024d910f44b6ab494a9023053a46a419f89e45cf24001d344d",
         },
     ),
     "heat": (
@@ -84,7 +84,7 @@ SUMMARY_PINS = {
     "burgers-additive": "777b04d6ae47b09c2bfe53c0d6e70c02822088a8df3825a55427fa973d055cce",
     "burgers-multiplicative": "e8147d95957a68b2d00f0066e696fffa6204d08f2df435325722f79bacb1a0db",
     "heat": "69fc1fc59a6a62e65119b9e4c647d5dbc6a2bc5c2b59b9a95ada4d4563737089",
-    "lyapunov": "922d11e09ca3885a745b2c84220543317384583b317da22e560940de1716532b",
+    "lyapunov": "cdfb1d132902bd79ed91c3ded86719a174f4b603e15657a12d5ff5a3335ef989",
     "wave": "140de70bfb1a7f54189139468d6f74e44cbcc9c3ff21bb21222e2a988813f958",
     "wiener": "3d9dd4774f020bedde3f4fb72354b7ce2a50d4ebae674b93be8d5fe493f235ee",
 }

@@ -114,6 +114,11 @@ def test_deterministic_energy_conserved():
     np.testing.assert_allclose(energy_block(prob, u, v)[0], math.pi**2 / 2, rtol=1e-12)
 
 
+def _chunk_rows(monkeypatch, batch, n, rows):
+    """Make ``block_chunks`` yield slices of ``rows`` steps of wave draws."""
+    monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 16 * batch * n * rows)
+
+
 @pytest.mark.parametrize(
     "steps, batch, rows",
     [(10, 7, 3), (10, 1, 4), (10, 7, 1), (10, 7, 11), (1, 7, 1), (1, 1, 5)],
@@ -124,13 +129,31 @@ def test_simulate_block_keep_matches_full_trajectories(monkeypatch, steps, batch
     n = 5
     prob = _problem(n_modes=n, c=1.3, length=0.7, g=HilbertVector.unit(n, 2))
     grid = TimeGrid(0.03, steps)
-    monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 16 * batch * n * rows)
     keep = sorted({0, steps // 2, steps})
     stream = RandomStream(5)
+    _chunk_rows(monkeypatch, batch, n, rows)
     u_keep, energies = simulate_block(prob, grid, stream, 3, 3 + batch, keep)
     u, v = simulate_block(prob, grid, stream, 3, 3 + batch)
     assert np.array_equal(u_keep, u[:, keep])
-    assert np.array_equal(energies, energy_block(prob, u, v))
+    # The keep path sums mu^2 (p^2 + q^2), not v^2 + mu^2 u^2: the same
+    # energy up to roundoff, and slicing the time axis moves no bit of it.
+    np.testing.assert_allclose(energies, energy_block(prob, u, v), rtol=1e-12)
+    for other in (1, 3, 4, 11):
+        _chunk_rows(monkeypatch, batch, n, other)
+        assert np.array_equal(simulate_block(prob, grid, stream, 3, 3 + batch, keep)[1], energies)
+
+
+def test_simulate_block_keep_energy_conserved_at_large_phase(monkeypatch):
+    # N=64 to t=2 turns mu t up to about 400 rad; without noise the keep
+    # path's energy is the same sum of amplitudes at every step.
+    n = 64
+    prob = _problem(n_modes=n, epsilon=0.0, f=HilbertVector(np.linspace(1.0, -0.5, n)),
+                    g=HilbertVector(np.cos(np.arange(n))))
+    grid = TimeGrid(0.01, 200)
+    _chunk_rows(monkeypatch, 3, n, 7)
+    _, energies = simulate_block(prob, grid, RandomStream(4), 0, 3, [grid.steps])
+    assert np.array_equal(energies, np.broadcast_to(energies[:, :1], energies.shape))
+    np.testing.assert_allclose(energies, initial_energy(prob), rtol=1e-14)
 
 
 def test_simulate_block_rejects_keep_outside_grid():
