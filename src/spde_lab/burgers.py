@@ -161,58 +161,41 @@ def _apply_step(prob: BurgersProblem, coeffs: np.ndarray, dt: float, draws: np.n
     return advanced + prob.sigma * np.sqrt(dt) * draws[:, np.newaxis] * coeffs
 
 
-def _draw_shape(prob: BurgersProblem, grid: TimeGrid) -> tuple:
-    """Per-sample draws: [steps, N] for additive noise, [steps] otherwise."""
-    if isinstance(prob.noise, AdditiveNoise):
-        return (grid.steps, prob.n_modes)
-    return (grid.steps,)
+def trace_block(
+    prob: BurgersProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int
+) -> np.ndarray:
+    """Energy traces e2 [stop - start, steps+1] for samples [start, stop),
+    keyed by sample index.
 
-
-def _evolve_block(prob: BurgersProblem, grid: TimeGrid, batch: int, draw_chunks):
-    """Energy traces e2 [batch, steps+1] of ``batch`` samples driven by
-    standard normals.
-
-    ``draw_chunks`` yields consecutive time slices [batch, r, ...] of the
-    draws [batch, *_draw_shape].  A sample whose energy turns non-finite or
-    crosses the blow-up threshold is reset to zero and its energies are NaN
-    from that step on; it never contaminates other rows.
+    A sample whose energy turns non-finite or crosses the blow-up threshold
+    is reset to zero and its row is NaN from that step on; it never
+    contaminates other rows, and the samples that diverged are
+    ``np.isnan(e2[:, -1])``.  The standard normals, [steps, N] per sample
+    for additive noise and [steps] for multiplicative, arrive in the time
+    slices of ``RandomStream.block_chunks``, so the block never holds all
+    of them at once.
     """
-    coeffs = np.tile(prob.init_coeffs, (batch, 1))
-    e2 = np.empty((batch, grid.steps + 1))
-    e2[:, 0] = np.sum(coeffs**2, axis=1)
-    threshold = blowup_threshold(prob, float(np.sum(prob.init_coeffs**2)))
-    dead = np.zeros(batch, dtype=bool)
-
     limit = dt_max(prob, prob.init_coeffs)
     if grid.dt > limit:
         raise StepSizeError(f"dt={grid.dt} exceeds the advective CFL limit {limit:.3e}")
-
-    step_draws = (z[:, j] for z in draw_chunks for j in range(z.shape[1]))
+    shape = (grid.steps, prob.n_modes) if isinstance(prob.noise, AdditiveNoise) else (grid.steps,)
+    coeffs = np.tile(prob.init_coeffs, (stop - start, 1))
+    e2 = np.empty((stop - start, grid.steps + 1))
+    e2[:, 0] = np.sum(coeffs**2, axis=1)
+    threshold = blowup_threshold(prob, float(np.sum(prob.init_coeffs**2)))
+    dead = np.zeros(stop - start, dtype=bool)
+    chunks = stream.block_chunks(start, stop, shape)
+    step_draws = (z[:, j] for z in chunks for j in range(z.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, draws in enumerate(step_draws):
+        for k, draws in enumerate(step_draws, 1):
             coeffs = _apply_step(prob, coeffs, grid.dt, draws)
             energy = np.sum(coeffs**2, axis=1)
             newly = ~dead & ((~np.isfinite(energy)) | (energy > threshold))
             if np.any(newly):
                 dead |= newly
                 coeffs[newly] = 0.0
-            e2[:, k + 1] = np.where(dead, np.nan, energy)
+            e2[:, k] = np.where(dead, np.nan, energy)
     return e2
-
-
-def trace_block(
-    prob: BurgersProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int
-) -> np.ndarray:
-    """Energy traces [stop - start, steps+1] for samples [start, stop),
-    keyed by sample index.
-
-    A diverged sample's row is NaN from its abort step on, so the samples
-    that diverged are ``np.isnan(e2[:, -1])``.  The draws arrive in the time
-    slices of ``RandomStream.block_chunks``, so the block never holds all of
-    them at once.
-    """
-    draws = stream.block_chunks(start, stop, _draw_shape(prob, grid))
-    return _evolve_block(prob, grid, stop - start, draws)
 
 
 def energy_bound(prob: BurgersProblem, t, e2_init: float):

@@ -5,7 +5,8 @@ comparisons as a table of :class:`Check` rows for one runner, and writes
 ``report.csv``, ``summary.json`` and ``series_*.csv`` into ``--out``.  Exit
 status is 0 when every gating comparison passes, 1 on a statistical
 failure, 2 on a usage or configuration error (a :class:`ConfigError` names
-the flag) and 3 on an internal error: any other exception, traceback on stderr.
+the flag; a run too large for memory is one) and 3 on an internal error:
+any other exception, traceback on stderr.
 
 Flags are long-form kebab-case.  Every flag has a config-file equivalent:
 ``--config file.json`` reads a JSON object whose keys equal the flag names.
@@ -615,7 +616,11 @@ def run(argv=None) -> int:
     """Execute one experiment; returns the process exit code."""
     try:
         cfg = _resolve_config(sys.argv[1:] if argv is None else list(argv))
-        report, series = _EXPERIMENTS[cfg["subcommand"]](cfg)
+        try:
+            report, series = _EXPERIMENTS[cfg["subcommand"]](cfg)
+        except MemoryError:
+            raise ConfigError("the run does not fit in memory: lower --samples, --modes "
+                              "or --t-final, or raise --dt") from None
         out_dir = Path(cfg["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
         write_report_csv(report, out_dir / "report.csv")

@@ -122,33 +122,6 @@ def _increment_factors(prob: WaveProblem, grid: TimeGrid):
     return np.stack([-gain * l11, gain * np.sqrt(schur)], axis=-1), gain * l21
 
 
-def _chunks(prob: WaveProblem, grid: TimeGrid, draw_chunks):
-    """Evolve batched draws through the time grid, one time slice at a time.
-
-    ``draw_chunks`` yields consecutive slices [batch, r, N, 2] of the
-    per-step draws, which become in place the increments of the amplitudes
-    (p, q) = (A - g I_sin, B + g I_cos).  Yields ``(r0, pq)``, a new array
-    pq [batch, r, N, 2] for the grid rows from ``r0`` that
-    :func:`~spde_lab.wiener.running_sums` completes (and carries on from)
-    with each slice, so no array spans the whole grid unless one slice
-    covers it, and the values do not depend on the slicing.
-    """
-    diagonal, a21 = _increment_factors(prob, grid)
-    amps = np.stack([prob.cos_amps, prob.sin_amps], axis=-1)
-
-    def increments(a=0):
-        for z in draw_chunks:  # the steps a..b-1
-            b = a + z.shape[1]
-            dq = a21[a:b] * z[..., 0]
-            z *= diagonal[a:b]
-            z[..., 1] += dq
-            yield z
-            a = b
-
-    for r0, sums in running_sums(increments()):
-        yield r0, sums + amps
-
-
 def simulate_block(
     prob: WaveProblem, grid: TimeGrid, stream: RandomStream, start: int, stop: int, keep=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -161,32 +134,45 @@ def simulate_block(
     (u_keep, energies) of shapes [batch, len(keep), n_modes] and
     [batch, steps+1]: u_keep equals ``u[:, keep]`` bit for bit, and the
     energies (1/2) sum_n mu_n^2 (p_n^2 + q_n^2) match
-    ``energy_block(prob, u, v)`` to rtol 1e-12, bitwise the same for any
-    slicing.  The draws and the time axis are then walked in the time
-    slices of ``RandomStream.block_chunks``, and u is formed at the kept
-    rows only, so the block holds no [batch, steps, n_modes] array.
+    ``energy_block(prob, u, v)`` to rtol 1e-12.
+
+    Both forms walk the draws in the time slices of
+    ``RandomStream.block_chunks``; each slice becomes in place the
+    increments of the amplitudes (p, q) = (A - g I_sin, B + g I_cos), which
+    :func:`~spde_lab.wiener.running_sums` carries from slice to slice, so
+    no output bit depends on the slicing.  Only the amplitudes at the kept
+    rows (all rows without ``keep``) are held, and u is formed from them.
     """
-    shape = (grid.steps, prob.n_modes, 2)
+    diagonal, a21 = _increment_factors(prob, grid)
+    amps = np.stack([prob.cos_amps, prob.sin_amps], axis=-1)
     mu = prob.angular_freqs
     rows = np.arange(grid.steps + 1) if keep is None else grid.indices(keep)
-    phase = mu * grid.times[rows, np.newaxis]
-    c, s = np.cos(phase), np.sin(phase)
-    if keep is None:
-        _, pq = next(_chunks(prob, grid, [stream.block_normals(start, stop, shape)]))
-        p, q = pq[..., 0], pq[..., 1]
-        return p * c + q * s, mu * (q * c - p * s)
+
+    def increments(a=0):
+        for z in stream.block_chunks(start, stop, (grid.steps, prob.n_modes, 2)):
+            b = a + z.shape[1]  # the steps a..b-1
+            dq = a21[a:b] * z[..., 0]
+            z *= diagonal[a:b]
+            z[..., 1] += dq
+            yield z
+            a = b
+
     half_mu2 = np.repeat(0.5 * mu**2, 2)
-    u_keep = np.empty((stop - start, rows.size, prob.n_modes))
+    pq_keep = np.empty((stop - start, rows.size, prob.n_modes, 2))
     energies = np.empty((stop - start, grid.steps + 1))
-    for r0, pq in _chunks(prob, grid, stream.block_chunks(start, stop, shape)):
+    for r0, sums in running_sums(increments()):
+        pq = sums + amps
         r1 = r0 + pq.shape[1]
         inside = (rows >= r0) & (rows < r1)
-        kept = pq[:, rows[inside] - r0]
-        u_keep[:, inside] = kept[..., 0] * c[inside] + kept[..., 1] * s[inside]
+        pq_keep[:, inside] = pq[:, rows[inside] - r0]
         sq = np.square(pq, out=pq).reshape(*pq.shape[:2], -1)
         # Not a BLAS product, whose sums depend on a row's place in the slice.
         energies[:, r0:r1] = np.einsum("...k,k", sq, half_mu2)
-    return u_keep, energies
+    phase = mu * grid.times[rows, np.newaxis]
+    c, s = np.cos(phase), np.sin(phase)
+    p, q = pq_keep[..., 0], pq_keep[..., 1]
+    u = p * c + q * s
+    return (u, mu * (q * c - p * s)) if keep is None else (u, energies)
 
 
 def mean_coefficients(prob: WaveProblem, t: float) -> HilbertVector:

@@ -139,6 +139,21 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, error):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # A grid or ensemble that does not fit in memory is a configuration
+    # error naming the flags that size it, not an internal error.
+    def too_large(cfg):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._EXPERIMENTS, "wave", too_large)
+    assert run(["wave", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    for flag in ("--samples", "--modes", "--dt", "--t-final"):
+        assert flag in err
+    assert "Traceback" not in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no-such-flag": 1}))

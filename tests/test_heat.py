@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spde_lab import montecarlo
 from spde_lab.heat import (
     HeatProblem,
     correlation_closed_form,
@@ -43,6 +44,22 @@ def test_simulate_block_keep_matches_full_coefficients(keep):
     _, u = simulate_block(prob, grid, RandomStream(5), 3, 10)
     assert np.array_equal(u_keep, u[:, keep])
     assert extra.shape == (7, 0)
+
+
+def test_simulate_block_independent_of_chunk_rows(monkeypatch):
+    # Draws arrive in slices of 1 and 3 steps, then as one slice of all steps.
+    prob = HeatProblem(0.7, [0.5, -0.2, 0.1])
+    grid = TimeGrid(0.05, 10)
+    batch, keep = 5, [0, 4, 10]
+    runs = []
+    for rows in (1, 3, grid.steps):
+        monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 8 * batch * rows)
+        w, u = simulate_block(prob, grid, RandomStream(6), 3, 3 + batch)
+        u_keep, _ = simulate_block(prob, grid, RandomStream(6), 3, 3 + batch, keep)
+        runs.append((w, u, u_keep))
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("keep", [[7], [-1], [0, 7]])

@@ -131,16 +131,22 @@ def test_simulate_block_keep_matches_full_trajectories(monkeypatch, steps, batch
     grid = TimeGrid(0.03, steps)
     keep = sorted({0, steps // 2, steps})
     stream = RandomStream(5)
-    _chunk_rows(monkeypatch, batch, n, rows)
-    u_keep, energies = simulate_block(prob, grid, stream, 3, 3 + batch, keep)
-    u, v = simulate_block(prob, grid, stream, 3, 3 + batch)
+
+    def run(rows):
+        _chunk_rows(monkeypatch, batch, n, rows)
+        full = simulate_block(prob, grid, stream, 3, 3 + batch)
+        return (*full, *simulate_block(prob, grid, stream, 3, 3 + batch, keep))
+
+    u, v, u_keep, energies = outputs = run(rows)
     assert np.array_equal(u_keep, u[:, keep])
     # The keep path sums mu^2 (p^2 + q^2), not v^2 + mu^2 u^2: the same
-    # energy up to roundoff, and slicing the time axis moves no bit of it.
+    # energy up to roundoff.
     np.testing.assert_allclose(energies, energy_block(prob, u, v), rtol=1e-12)
-    for other in (1, 3, 4, 11):
-        _chunk_rows(monkeypatch, batch, n, other)
-        assert np.array_equal(simulate_block(prob, grid, stream, 3, 3 + batch, keep)[1], energies)
+    # Both forms walk the same slices; slicing moves no bit of u, v, u_keep
+    # or the energies, also against one slice of all steps.
+    for other in (1, 3, 4, 11, steps):
+        for got, want in zip(run(other), outputs):
+            assert np.array_equal(got, want)
 
 
 def test_simulate_block_keep_energy_conserved_at_large_phase(monkeypatch):

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from spde_lab.hilbert import CovarianceSpectrum, DirichletBasis
 from spde_lab.montecarlo import RandomStream, pairwise_stats
-from spde_lab.wiener import TimeGrid, sample_increments_block
+from spde_lab.wiener import TimeGrid, running_sums, sample_increments_block
 
 N_MODES = 6
 BASIS = DirichletBasis(1.0, N_MODES)
@@ -191,3 +191,20 @@ def test_dimension_mismatch_rejected():
     small = DirichletBasis(1.0, 3)
     with pytest.raises(ValueError):
         sample_increments_block(SPEC, small, TimeGrid(0.1, 5), RandomStream(1), 0, 2)
+
+
+@pytest.mark.parametrize("shape", [(4, 10), (3, 10, 5, 2)])
+@pytest.mark.parametrize("rows", [1, 3, 10])
+def test_running_sums_match_one_cumsum(shape, rows):
+    # Slices of 1, 3 and all 10 rows give the bits of one cumulative sum
+    # with a zero row prepended: the first slice leads with that zero row,
+    # and each later slice's rows start where the previous one stopped.
+    batch, steps, *rest = shape
+    inc = np.random.default_rng(3).standard_normal(shape)
+    slices = [inc[:, a : a + rows].copy() for a in range(0, steps, rows)]
+    out = list(running_sums(slices))
+    assert [r0 for r0, _ in out] == [0] + list(range(rows + 1, steps + 1, rows))
+    assert out[0][1].shape == (batch, rows + 1, *rest)
+    assert np.array_equal(out[0][1][:, 0], np.zeros((batch, *rest)))
+    expected = np.concatenate([np.zeros((batch, 1, *rest)), np.cumsum(inc, axis=1)], axis=1)
+    assert np.array_equal(np.concatenate([sums for _, sums in out], axis=1), expected)
