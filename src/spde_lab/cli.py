@@ -288,10 +288,11 @@ def _wiener_block(spec, basis, grid, pairs, k_s, stream, start, stop):
     return np.concatenate(cols + [norm2], axis=1)
 
 
-def _field_block(simulate, prob, grid, basis_vals, means, pair_idx, stream, start, stop):
+def _field_block(simulate, prob, grid, basis_vals, means, pairs, stream, start, stop):
     """Per-sample field summaries: the field at the x points at the final
-    step, the L2 deviation at each checkpoint, the cross deviation of each
-    checkpoint pair, then the further columns of ``simulate``.
+    step, the L2 cross deviation sum_n dev_a,n dev_b,n (dev: u less its
+    mean) of each checkpoint pair (a, b), then the further columns of
+    ``simulate``.
 
     ``simulate`` is ``wave.simulate_block`` (energies at every step) or
     ``heat.simulate_block`` (none): with ``keep`` it returns u at the
@@ -302,57 +303,56 @@ def _field_block(simulate, prob, grid, basis_vals, means, pair_idx, stream, star
     u, extra = simulate(prob, grid, stream, start, stop, keep)
     devs = {k: u[:, j, :] - means[k] for j, k in enumerate(keep) if k in means}
     cols = [u[:, -1, :] @ basis_vals.T]
-    cols += [np.sum(dev**2, axis=1)[:, np.newaxis] for dev in devs.values()]
-    cols += [np.sum(devs[k_t] * devs[k_s], axis=1)[:, np.newaxis] for k_t, k_s in pair_idx]
+    cols += [np.sum(devs[a] * devs[b], axis=1)[:, np.newaxis] for a, b in pairs]
     return np.concatenate(cols + [extra], axis=1)
 
 
 def _field_plan(grid: wiener.TimeGrid, mean):
     """Coefficients of the mean field ``mean(t)`` keyed by checkpoint index,
-    and the three checkpoint pairs of the covariance checks."""
+    and the checkpoint pairs (k_t, k_s) of the second-moment columns: each
+    checkpoint with itself (the variance is the covariance at s = t), then
+    the distinct pairs with s != t of the covariance checks.  A grid of one
+    or two steps has fewer checkpoints and so fewer pairs, never a repeat.
+    """
     k = _checkpoints(grid.steps)
     means = {kk: mean(grid.times[kk]).coeffs for kk in k}
-    return means, [(k[-1], k[len(k) // 2]), (k[-1], k[0]), (k[len(k) // 2], k[0])]
+    mid = k[len(k) // 2]
+    cross = dict.fromkeys([(k[-1], mid), (k[-1], k[0]), (mid, k[0])])
+    return means, [(kk, kk) for kk in k] + [(a, b) for a, b in cross if a != b]
 
 
-def _field_experiment(cfg, grid, prob, simulate, x_points, mean, variance, covariance,
-                      correlation=None):
+def _field_experiment(cfg, grid, prob, simulate, x_points, mean, covariance, correlation=None):
     """Per-sample :func:`_field_block` values of a wave or heat field and
-    their checks: ``mean_x*`` at the final time, ``variance`` at each
-    checkpoint and ``covariance_s=*`` for each checkpoint pair, each followed
-    by ``correlation_s=*`` when ``correlation`` is given.  A correlation is a
-    ratio of means, so its estimate comes from fixed-count batch means
-    rather than one pairwise reduction.
+    their checks: ``mean_x*`` at the final time, then per pair of
+    :func:`_field_plan` a row with closed form ``covariance(t, s)``, labelled
+    ``variance`` if s = t, else ``covariance_s=*`` followed by
+    ``correlation_s=*`` when ``correlation`` is given.  A correlation is a
+    ratio of means, so its estimate comes from fixed-count batch means of the
+    pair's column and the two variance columns, not one pairwise reduction.
     """
-    means, pair_idx = _field_plan(grid, mean)
+    means, pairs = _field_plan(grid, mean)
     basis_vals = prob.basis.evaluate(np.asarray(x_points))
     stream = RandomStream(cfg["seed"]).child(0)
-    fn = partial(_field_block, simulate, prob, grid, basis_vals, means, pair_idx, stream)
+    fn = partial(_field_block, simulate, prob, grid, basis_vals, means, pairs, stream)
     values = map_blocks(fn, cfg["samples"], workers=cfg["workers"])
 
-    n_x, n_k = len(x_points), len(means)
-    var_cols = dict(zip(means, values[:, n_x : n_x + n_k].T))
     mean_final = mean(grid.t_final)
     checks = [
         Check(f"mean_x{i}", grid.t_final, mean_final.evaluate(prob.basis, x), col)
         for i, (x, col) in enumerate(zip(x_points, values.T), start=1)
     ]
-    checks += [
-        Check("variance", grid.times[k], variance(grid.times[k]), col)
-        for k, col in var_cols.items()
-    ]
+    cols = dict(zip(pairs, values[:, len(x_points) :].T))
     n_batches = min(20, values.shape[0] // 2)
     batches = np.array_split(np.arange(values.shape[0]), n_batches)
-    for (k_t, k_s), col in zip(pair_idx, values[:, n_x + n_k :].T):
+    for (k_t, k_s), col in cols.items():
         t, s = grid.times[k_t], grid.times[k_s]
-        checks.append(Check(f"covariance_s={s:g}", t, covariance(t, s), col))
-        if correlation is None:
+        label = "variance" if k_t == k_s else f"covariance_s={s:g}"
+        checks.append(Check(label, t, covariance(t, s), col))
+        if correlation is None or k_t == k_s:
             continue
+        var_t, var_s = cols[k_t, k_t], cols[k_s, k_s]
         corr = np.array(
-            [
-                col[idx].mean() / np.sqrt(var_cols[k_t][idx].mean() * var_cols[k_s][idx].mean())
-                for idx in batches
-            ]
+            [col[idx].mean() / np.sqrt(var_t[idx].mean() * var_s[idx].mean()) for idx in batches]
         )
         checks.append(
             Check(
@@ -422,9 +422,7 @@ def _run_wave(cfg: dict) -> tuple[Report, dict]:
     )
     values, checks = _field_experiment(
         cfg, grid, prob, wave.simulate_block, [i * cfg["l"] / 6 for i in range(1, 6)],
-        *(partial(fn, prob) for fn in (
-            wave.mean_coefficients, wave.variance_closed_form, wave.covariance_closed_form
-        )),
+        partial(wave.mean_coefficients, prob), partial(wave.covariance_closed_form, prob),
     )
 
     energies = values[:, -(grid.steps + 1) :]
@@ -461,8 +459,7 @@ def _run_heat(cfg: dict) -> tuple[Report, dict]:
     _, checks = _field_experiment(
         cfg, grid, prob, heat.simulate_block, [0.25, 0.5, 0.75],
         *(partial(fn, prob) for fn in (
-            heat.mean_closed_form, heat.variance_closed_form, heat.covariance_closed_form,
-            heat.correlation_closed_form,
+            heat.mean_closed_form, heat.covariance_closed_form, heat.correlation_closed_form
         )),
     )
     mean_norm = np.array([heat.mean_closed_form(prob, t).norm() for t in grid.times])
@@ -497,11 +494,13 @@ def _run_lyapunov(cfg: dict) -> tuple[Report, dict]:
         band_note = "tolerance band 3*sqrt(6/5)*|gamma|/sqrt(W), W = span of the fitted grid times"
     else:
         stderr, band_note = 1e-9 / 3, "tolerance 1e-9 (deterministic path)"
+    # stoch - det may round away from shift; stoch == det + shift is exact.
+    shift = (cfg["beta"] - cfg["alpha"]) - 0.5 * cfg["gamma"] ** 2
     checks = [
         Check(
-            "stabilization_shift", cfg["t-final"],
-            (cfg["beta"] - cfg["alpha"]) - 0.5 * cfg["gamma"] ** 2,
-            (stoch - det, 0.0), note="exact arithmetic identity",
+            "stabilization_shift", cfg["t-final"], shift,
+            (shift if stoch == det + shift else stoch - det, 0.0),
+            note="exact arithmetic identity",
         ),
         Check(
             "exponent_path_vs_formula", cfg["t-final"], stoch,
@@ -568,7 +567,7 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
         )
         for kk in checkpoints
     ]
-    for kk in (checkpoints[len(checkpoints) // 2], grid.steps):
+    for kk in dict.fromkeys((checkpoints[len(checkpoints) // 2], grid.steps)):
         t = grid.times[kk]
         p_hat = float((~(e2[:, kk] < cfg["delta"] ** 2)).astype(float).mean())
         se = float(np.sqrt(p_hat * (1 - p_hat) / len(e2)))

@@ -83,16 +83,9 @@ def mean_closed_form(prob: HeatProblem, t: float) -> HilbertVector:
 
 
 def variance_closed_form(prob: HeatProblem, t: float) -> float:
-    """L2 variance sum_n a_n^2 exp(-2 lambda_n t) [exp(eps^2 t) - 1]."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return float(
-        np.sum(
-            prob.init_coeffs**2
-            * np.exp(-2 * prob.eigenvalues * t)
-            * np.expm1(prob.epsilon**2 * t)
-        )
-    )
+    """L2 variance: the covariance at tau = t, which reduces to
+    sum_n a_n^2 exp(-2 lambda_n t) [exp(eps^2 t) - 1]."""
+    return covariance_closed_form(prob, t, t)
 
 
 def covariance_closed_form(prob: HeatProblem, t: float, tau: float) -> float:

@@ -187,14 +187,9 @@ def mean_solution(prob: WaveProblem, x, t: float):
 
 
 def variance_closed_form(prob: WaveProblem, t: float) -> float:
-    """L2 variance sum_n (eps^2 q_n / (2 mu_n^2)) [t - sin(2 mu_n t)/(2 mu_n)]."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    mu = prob.angular_freqs
-    q = prob.spectrum.eigenvalues
-    return float(
-        np.sum(prob.epsilon**2 * q / (2 * mu**2) * (t - np.sin(2 * mu * t) / (2 * mu)))
-    )
+    """L2 variance: the covariance at s = t, which reduces to
+    sum_n (eps^2 q_n / (2 mu_n^2)) [t - sin(2 mu_n t)/(2 mu_n)]."""
+    return covariance_closed_form(prob, t, t)
 
 
 def covariance_closed_form(prob: WaveProblem, t: float, s: float) -> float:

@@ -346,6 +346,28 @@ def test_lyapunov_example_row(tmp_path, capsys):
     assert (out / "series_lognorm.csv").exists()
 
 
+def test_lyapunov_shift_row_tests_the_library_identity(tmp_path, capsys, monkeypatch):
+    # Here fl(fl(det + shift) - det) != shift, so comparing stoch - det with
+    # the shift failed on correct code.  The row tests the library's bitwise
+    # identity stoch == det + shift instead, and reports the shift when it holds.
+    argv = ["lyapunov", "--alpha", "0.3", "--beta", "1.7", "--gamma", "0.9", "--t-final", "10"]
+    det = lyapunov.exponent_deterministic(lyapunov.LyapunovProblem(0.3, 1.7, 0.9, [1.0]))
+    shift = (1.7 - 0.3) - 0.5 * 0.9**2
+    assert (det + shift) - det != shift
+    assert run(argv + ["--out", str(tmp_path / "ok")]) == 0
+    row = {r["label"]: r for r in _read_report(tmp_path / "ok")}["stabilization_shift"]
+    assert row["pass"] == "True" and row["mc_mean"] == row["closed_form"]
+    # A stochastic exponent without the Ito correction -gamma^2/2 fails the row.
+    monkeypatch.setattr(
+        lyapunov, "exponent_stochastic",
+        lambda prob: lyapunov.exponent_deterministic(prob) + (prob.beta - prob.alpha),
+    )
+    assert run(argv + ["--out", str(tmp_path / "bad")]) == 1
+    capsys.readouterr()
+    row = {r["label"]: r for r in _read_report(tmp_path / "bad")}["stabilization_shift"]
+    assert row["pass"] == "False"
+
+
 def test_lyapunov_stderr_matches_slope_spread_over_paths(tmp_path, capsys):
     # The least-squares slope of gamma w over a window W has variance
     # (6/5) gamma^2 / W; the row's stderr is its square root.
@@ -442,6 +464,26 @@ def test_burgers_divergence_exits_1_with_files(tmp_path, capsys):
     assert math.isnan(float(final["mc_mean"])) and final["pass"] == "False"
     exit_final = [r for r in rows if r["label"] == "exit_probability"][-1]
     assert float(exit_final["mc_mean"]) >= diverged / 20
+
+
+def test_short_grids_repeat_no_row(tmp_path, capsys):
+    # One or two steps give fewer than five distinct checkpoints: the
+    # report has fewer rows, never two with the same label and time.
+    flags = {
+        "wiener": ["--modes", "4", "--dt", "0.01"],
+        "wave": ["--modes", "4", "--dt", "0.01"],
+        "heat": ["--dt", "0.05"],
+        "burgers": ["--modes", "8", "--dt", "0.001"],
+    }
+    for steps in (1, 2):
+        for cmd, argv in flags.items():
+            out = tmp_path / f"{cmd}{steps}"
+            t_final = f"{steps * float(argv[-1]):g}"
+            code = run([cmd, *argv, "--t-final", t_final, "--samples", "40", "--out", str(out)])
+            assert code in (0, 1)
+            keys = [(r["label"], r["t"]) for r in _read_report(out)]
+            assert len(keys) == len(set(keys)), (cmd, steps)
+    capsys.readouterr()
 
 
 def test_wave_example_invocation(tmp_path, capsys):

@@ -131,10 +131,14 @@ def test_variance_monte_carlo():
 
 
 def test_covariance_diagonal_and_symmetry():
+    # The variance is the covariance at tau = t, which reduces bit for bit
+    # to sum_n a_n^2 exp(-2 lambda_n t) [exp(eps^2 t) - 1].
+    prob = HeatProblem(0.7, [1.0, -0.5, 0.25])
     for t in (0.05, 0.1, 0.3):
-        assert covariance_closed_form(SINGLE, t, t) == pytest.approx(
-            variance_closed_form(SINGLE, t), abs=1e-12
+        reduced = np.sum(
+            prob.init_coeffs**2 * np.exp(-2 * prob.eigenvalues * t) * np.expm1(prob.epsilon**2 * t)
         )
+        assert variance_closed_form(prob, t) == covariance_closed_form(prob, t, t) == reduced
     assert covariance_closed_form(SINGLE, 0.2, 0.1) == covariance_closed_form(
         SINGLE, 0.1, 0.2
     )

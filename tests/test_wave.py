@@ -212,11 +212,13 @@ def test_variance_single_mode_value():
 
 
 def test_variance_equals_covariance_diagonal():
+    # The variance is the covariance at s = t, which reduces bit for bit to
+    # sum_n (eps^2 q_n / (2 mu_n^2)) [t - sin(2 mu_n t) / (2 mu_n)].
     prob = _problem()
+    mu, q = prob.angular_freqs, prob.spectrum.eigenvalues
     for t in (0.3, 1.0, 1.7):
-        assert covariance_closed_form(prob, t, t) == pytest.approx(
-            variance_closed_form(prob, t), rel=1e-12
-        )
+        reduced = np.sum(prob.epsilon**2 * q / (2 * mu**2) * (t - np.sin(2 * mu * t) / (2 * mu)))
+        assert variance_closed_form(prob, t) == covariance_closed_form(prob, t, t) == reduced
 
 
 def test_covariance_symmetric():
