@@ -4,17 +4,22 @@ Each subcommand builds a problem, declares its closed-form-vs-Monte Carlo
 comparisons as a table of :class:`Check` rows for one runner, and writes
 ``report.csv``, ``summary.json`` and ``series_*.csv`` into ``--out``.  Exit
 status is 0 when every gating comparison passes, 1 on a statistical
-failure, 2 on a usage or configuration error (a :class:`ConfigError` names
-the flag; a run too large for memory is one) and 3 on an internal error:
+failure, 2 on a usage or configuration error and 3 on an internal error:
 any other exception, traceback on stderr.
 
-Flags are long-form kebab-case.  Every flag has a config-file equivalent:
-``--config file.json`` reads a JSON object whose keys equal the flag names.
-Its entries are parsed as flags placed before the command line's, so an
-explicit flag overrides the file and a bad value exits 2; ``null`` leaves a
-flag unset, so a run's own ``config.json`` replays it.  The environment
-variable ``SPDE_LAB_SEED`` is parsed as a ``--seed`` flag placed before the
-file's, so the seed comes from the flag, then the file, then the
+Flags are long-form kebab-case, each declared once in ``_FLAGS``: its
+argparse type is its domain (a finite number, a lower bound), so a value
+outside it exits 2 with argparse's message naming the flag.  A
+:class:`ConfigError` (exit 2, naming the flags) carries the rest: rules
+across flags, the library's rejection of an input, a run too large for
+memory and an ``--out`` that cannot be written.  Every flag has a
+config-file equivalent: ``--config file.json`` reads a JSON object whose
+keys equal the flag names.  Its entries are parsed as flags placed before
+the command line's, so an explicit flag overrides the file, and an entry
+outside its flag's domain exits 2 even when a flag overrides it; ``null``
+leaves a flag unset, so a run's own ``config.json`` replays it.  The
+environment variable ``SPDE_LAB_SEED`` is parsed as a ``--seed`` flag placed
+before the file's, so the seed comes from the flag, then the file, then the
 environment, then 0.
 
 Given the same configuration and seed, the data CSVs are byte-identical
@@ -54,85 +59,81 @@ class ConfigError(Exception):
     """Invalid configuration (reported on stderr, exit code 2)."""
 
 
-class Option(NamedTuple):
-    name: str
-    type: Callable[[str], object]
-    default: object = None
-    help: str = ""
+def _number(kind: type, low: float | None = None) -> Callable[[str], float]:
+    """The argparse type of a numeric flag: a ``kind`` (int or float) value,
+    finite if a float, at least ``low`` if an int and above it if a float.
+    Any other value is a usage error naming the flag (exit 2)."""
+    domain = "an integer" if kind is int else "a finite number"
+    if low is not None:
+        domain += f" {'>=' if kind is int else '>'} {low}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+            # Ints skip np.isfinite, which raises TypeError beyond 64 bits.
+            ok = kind is int or np.isfinite(value)
+            ok = ok and (low is None or (value >= low if kind is int else value > low))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be {domain}")
+        return value
+
+    return parse
 
 
-def _finite(text: str) -> float:
-    """A float flag's value; inf and nan are usage errors (exit 2)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be a finite number")
-    return value
+def _noise(text: str) -> str:
+    if text not in ("additive", "multiplicative"):
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: must be additive or multiplicative")
+    return text
 
 
-_COMMON = [
-    Option("seed", int, 0, "master seed (fallback: SPDE_LAB_SEED, then 0)"),
-    Option("workers", int, 1, "worker processes for ensemble sharding"),
-    Option("out", str, None, "output directory (default runs/<subcommand>)"),
-    Option("config", str, None, "JSON config file with flag-name keys"),
-]
-
-_OPTIONS: dict[str, list[Option]] = {
-    "wiener": [
-        Option("spectrum", str, "power:2", "covariance spectrum, e.g. power:2, exp:0.5, finite:1,0.5"),
-        Option("modes", int, 16, "number of retained modes"),
-        Option("l", _finite, 1.0, "domain length"),
-        Option("dt", _finite, 0.01, "time step"),
-        Option("t-final", _finite, 1.0, "final time"),
-        Option("samples", int, 2000, "Monte Carlo sample count"),
-    ],
-    "wave": [
-        Option("spectrum", str, "power:2"),
-        Option("modes", int, 16),
-        Option("c", _finite, 1.0, "wave speed"),
-        Option("l", _finite, 1.0, "domain length"),
-        Option("epsilon", _finite, 1.0, "noise intensity"),
-        Option("f-mode", int, 1, "initial displacement = e_{f-mode} (0 for none)"),
-        Option("g-mode", int, 0, "initial velocity = e_{g-mode} (0 for none)"),
-        Option("dt", _finite, 0.01),
-        Option("t-final", _finite, 2.0),
-        Option("samples", int, 2000),
-    ],
-    "heat": [
-        Option("modes", int, 8),
-        Option("epsilon", _finite, 0.5, "multiplicative noise intensity"),
-        Option("init-mode", int, 1, "initial condition = e_{init-mode}"),
-        Option("dt", _finite, 0.05),
-        Option("t-final", _finite, 0.25),
-        Option("samples", int, 2000),
-    ],
-    "lyapunov": [
-        Option("alpha", _finite, 0.0, "deterministic growth rate"),
-        Option("beta", _finite, 0.0, "stochastic drift rate"),
-        Option("gamma", _finite, 1.0, "noise intensity"),
-        Option("mode", int, 1, "initial condition = e_mode"),
-        Option("t-final", _finite, 100.0),
-        Option("dt", _finite, None, "time step (default t-final / 2000)"),
-        Option("t-burn", _finite, None, "burn-in time (default 0.1 t-final)"),
-    ],
-    "burgers": [
-        Option("spectrum", str, "power:2", "covariance spectrum (additive noise)"),
-        Option("modes", int, 64),
-        Option("nu", _finite, 0.5, "viscosity"),
-        Option("sigma", _finite, 0.25, "noise intensity"),
-        Option("l", _finite, 1.0, "domain length"),
-        Option("noise", str, "additive", "additive | multiplicative"),
-        Option("init-mode", int, 1, "initial condition mode"),
-        Option("init-amp", _finite, 0.5, "initial condition amplitude"),
-        Option("poincare-c", _finite, None, "Poincare constant (default (l/pi)^2)"),
-        Option("delta", _finite, 1.0, "exit-probability radius"),
-        Option("dt", _finite, 1e-3),
-        Option("t-final", _finite, 2.0),
-        Option("samples", int, 500),
-    ],
+# Every flag's argparse type, which is its domain, and its help text.
+_FLAGS: dict[str, tuple[Callable[[str], object], str]] = {
+    "seed": (_number(int, 0), "master seed (fallback: SPDE_LAB_SEED, then 0)"),
+    "workers": (_number(int, 1), "worker processes for ensemble sharding"),
+    "out": (str, "output directory (default runs/<subcommand>)"),
+    "config": (str, "JSON config file with flag-name keys"),
+    "spectrum": (str, "covariance spectrum, e.g. power:2, exp:0.5, finite:1,0.5"),
+    "modes": (_number(int, 1), "number of retained modes"),
+    "samples": (_number(int, 2), "Monte Carlo sample count"),
+    "dt": (_number(float, 0), "time step (lyapunov's default: t-final / 2000)"),
+    "t-final": (_number(float, 0), "final time"),
+    "l": (_number(float, 0), "domain length"),
+    "c": (_number(float, 0), "wave speed"),
+    "epsilon": (_number(float), "noise intensity"),
+    "f-mode": (_number(int), "initial displacement = e_{f-mode} (0 for none)"),
+    "g-mode": (_number(int), "initial velocity = e_{g-mode} (0 for none)"),
+    "init-mode": (_number(int), "initial condition = e_{init-mode} (0 for none)"),
+    "alpha": (_number(float), "deterministic growth rate"),
+    "beta": (_number(float), "stochastic drift rate"),
+    "gamma": (_number(float), "noise intensity"),
+    "mode": (_number(int, 1), "initial condition = e_mode"),
+    "t-burn": (_number(float), "burn-in time (default 0.1 t-final)"),
+    "nu": (_number(float, 0), "viscosity"),
+    "sigma": (_number(float), "noise intensity"),
+    "noise": (_noise, "additive | multiplicative"),
+    "init-amp": (_number(float, 0), "initial condition amplitude"),
+    "poincare-c": (_number(float), "Poincare constant (default (l/pi)^2)"),
+    "delta": (_number(float, 0), "exit-probability radius"),
 }
+
+# Each subcommand's own flags, in --help order, and their defaults.
+_DEFAULTS: dict[str, dict[str, object]] = {
+    "wiener": {"spectrum": "power:2", "modes": 16, "l": 1.0, "dt": 0.01, "t-final": 1.0,
+               "samples": 2000},
+    "wave": {"spectrum": "power:2", "modes": 16, "c": 1.0, "l": 1.0, "epsilon": 1.0,
+             "f-mode": 1, "g-mode": 0, "dt": 0.01, "t-final": 2.0, "samples": 2000},
+    "heat": {"modes": 8, "epsilon": 0.5, "init-mode": 1, "dt": 0.05, "t-final": 0.25,
+             "samples": 2000},
+    "lyapunov": {"alpha": 0.0, "beta": 0.0, "gamma": 1.0, "mode": 1, "t-final": 100.0,
+                 "dt": None, "t-burn": None},
+    "burgers": {"spectrum": "power:2", "modes": 64, "nu": 0.5, "sigma": 0.25, "l": 1.0,
+                "noise": "additive", "init-mode": 1, "init-amp": 0.5, "poincare-c": None,
+                "delta": 1.0, "dt": 1e-3, "t-final": 2.0, "samples": 500},
+}
+_COMMON = {"seed": 0, "workers": 1, "out": None, "config": None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,18 +142,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stochastic-PDE simulation and closed-form verification experiments.",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name, options in _OPTIONS.items():
+    for name, defaults in _DEFAULTS.items():
         sub = subparsers.add_parser(name, help=f"run the {name} experiment")
-        for opt in options + _COMMON:
-            sub.add_argument(f"--{opt.name}", dest=opt.name, type=opt.type, default=opt.default,
-                             help=opt.help)
-        sub.set_defaults(out=f"runs/{name}")
+        for flag, default in {**defaults, **_COMMON, "out": f"runs/{name}"}.items():
+            kind, text = _FLAGS[flag]
+            sub.add_argument(f"--{flag}", dest=flag, type=kind, default=default, help=text)
     return parser
 
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
     """The config file's non-null entries as ``--key=value`` flags."""
-    names = {opt.name for opt in _OPTIONS[args.subcommand] + _COMMON} - {"config"}
+    names = (_DEFAULTS[args.subcommand].keys() | _COMMON.keys()) - {"config"}
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
@@ -181,22 +181,14 @@ def _resolve_config(argv: list[str]) -> dict:
         front += _config_flags(args)
     resolved = vars(parser.parse_args(argv[:1] + front + argv[1:]))
     del resolved["config"]
-    if resolved.get("samples", 2) < 2:
-        raise ConfigError("--samples must be at least 2")
-    if resolved["workers"] < 1:
-        raise ConfigError("--workers must be at least 1")
     return resolved
 
 
-def _require_positive(cfg: dict, *names: str) -> None:
-    for name in names:
-        if not cfg[name] > 0:
-            raise ConfigError(f"--{name} must be positive (got {cfg[name]})")
-
-
 def _grid(cfg: dict) -> wiener.TimeGrid:
-    _require_positive(cfg, "dt", "t-final")
-    steps = round(cfg["t-final"] / cfg["dt"])
+    try:  # a derived --dt may underflow to 0, and a ratio may overflow
+        steps = round(cfg["t-final"] / cfg["dt"])
+    except (ZeroDivisionError, OverflowError):
+        steps = 0
     if steps < 1 or abs(steps * cfg["dt"] - cfg["t-final"]) > 1e-9 * cfg["t-final"]:
         raise ConfigError("--t-final must be an integer multiple of --dt")
     return wiener.TimeGrid(cfg["dt"], steps)
@@ -370,7 +362,6 @@ def _field_experiment(cfg, grid, prob, simulate, x_points, mean, covariance, cor
 
 
 def _run_wiener(cfg: dict) -> tuple[Report, dict]:
-    _require_positive(cfg, "modes", "l")
     grid = _grid(cfg)
     basis = DirichletBasis(cfg["l"], cfg["modes"])
     spec = _spectrum(cfg)
@@ -414,7 +405,6 @@ _PUMPING_NOTE = (
 
 
 def _run_wave(cfg: dict) -> tuple[Report, dict]:
-    _require_positive(cfg, "modes", "c", "l")
     grid = _grid(cfg)
     f, g = _unit_or_zero(cfg, "f-mode"), _unit_or_zero(cfg, "g-mode")
     prob = wave.WaveProblem.from_initial_conditions(
@@ -448,7 +438,6 @@ def _run_wave(cfg: dict) -> tuple[Report, dict]:
 
 
 def _run_heat(cfg: dict) -> tuple[Report, dict]:
-    _require_positive(cfg, "modes")
     if cfg["samples"] < 4:
         raise ConfigError("heat needs --samples of at least 4 (two correlation batches)")
     grid = _grid(cfg)
@@ -469,14 +458,11 @@ def _run_heat(cfg: dict) -> tuple[Report, dict]:
 
 
 def _run_lyapunov(cfg: dict) -> tuple[Report, dict]:
-    _require_positive(cfg, "t-final")
     if cfg["dt"] is None:
         cfg["dt"] = cfg["t-final"] / 2000
     grid = _grid(cfg)
     if cfg["t-burn"] is None:
         cfg["t-burn"] = 0.1 * cfg["t-final"]
-    if cfg["mode"] < 1:
-        raise ConfigError("--mode must be a positive mode index")
 
     f = HilbertVector.unit(max(cfg["mode"], 4), cfg["mode"])
     prob = lyapunov.LyapunovProblem(cfg["alpha"], cfg["beta"], cfg["gamma"], f.coeffs)
@@ -520,16 +506,11 @@ def _run_lyapunov(cfg: dict) -> tuple[Report, dict]:
 
 
 def _run_burgers(cfg: dict) -> tuple[Report, dict]:
-    _require_positive(cfg, "modes", "nu", "l", "delta", "init-amp")
     grid = _grid(cfg)
-    if cfg["noise"] == "additive":
-        noise = burgers.AdditiveNoise(_spectrum(cfg))
-    elif cfg["noise"] == "multiplicative":
-        noise = burgers.MultiplicativeNoise()
-    else:
-        raise ConfigError(f"--noise must be additive or multiplicative, got {cfg['noise']!r}")
+    additive = cfg["noise"] == "additive"
+    noise = burgers.AdditiveNoise(_spectrum(cfg)) if additive else burgers.MultiplicativeNoise()
     u0 = _unit_or_zero(cfg, "init-mode").coeffs * cfg["init-amp"]
-    try:  # the flags checked above leave only the Poincare constant to reject
+    try:  # the flags' types leave only the Poincare constant to reject
         prob = burgers.BurgersProblem(cfg["nu"], cfg["l"], cfg["sigma"], noise, u0,
                                       cfg["poincare-c"])
     except ValueError as exc:
@@ -544,7 +525,7 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
     bound = burgers.energy_bound(prob, grid.times, e2_init)
 
     trace_note = ""
-    if cfg["noise"] == "additive" and cfg["l"] != 1.0:
+    if additive and cfg["l"] != 1.0:
         trace_note = (
             "warning: bound uses the trace term sigma^2 * l * Tr(Q) as printed; "
             "the conventional Ito correction carries no l factor"
@@ -621,13 +602,16 @@ def run(argv=None) -> int:
             raise ConfigError("the run does not fit in memory: lower --samples, --modes "
                               "or --t-final, or raise --dt") from None
         out_dir = Path(cfg["out"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_report_csv(report, out_dir / "report.csv")
-        write_summary_json(report, out_dir / "summary.json")
-        flags = {k: v for k, v in cfg.items() if k != "subcommand"}
-        (out_dir / "config.json").write_text(json.dumps(flags, indent=2, sort_keys=True) + "\n")
-        for filename, columns in series.items():
-            write_series_csv(out_dir / filename, columns)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            write_report_csv(report, out_dir / "report.csv")
+            write_summary_json(report, out_dir / "summary.json")
+            flags = {k: v for k, v in cfg.items() if k != "subcommand"}
+            (out_dir / "config.json").write_text(json.dumps(flags, indent=2, sort_keys=True) + "\n")
+            for filename, columns in series.items():
+                write_series_csv(out_dir / filename, columns)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {cfg['out']}: {exc}") from exc
     except SystemExit as exc:
         return int(exc.code or 0)
     except ConfigError as exc:

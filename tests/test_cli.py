@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -51,8 +52,13 @@ def test_missing_subcommand_exits_2(capsys):
         # An infinite final time is a usage error naming the flag, not an
         # OverflowError traceback (exit 1) or a NaN message.
         *([cmd, "--t-final", "inf"] for cmd in ("heat", "wave", "burgers", "lyapunov")),
+        # A step count beyond float range, not an OverflowError (exit 3).
+        ["heat", "--t-final", "1e300", "--dt", "1e-10"],
+        # Lyapunov's derived dt, t-final / 2000, underflows to 0.
+        ["lyapunov", "--t-final", "1e-321"],
     ],
-    ids=["dt-above-t-final", "heat-inf", "wave-inf", "burgers-inf", "lyapunov-inf"],
+    ids=["dt-above-t-final", "heat-inf", "wave-inf", "burgers-inf", "lyapunov-inf",
+         "steps-overflow", "lyapunov-dt-underflow"],
 )
 def test_bad_grid_exits_2(argv, capsys):
     code = run(argv + ["--out", "/tmp/never"])
@@ -69,6 +75,10 @@ def test_bad_grid_exits_2(argv, capsys):
         (["burgers", "--poincare-c", "inf"], "poincare-c"),
         (["wave", "--epsilon=-inf"], "epsilon"),
         (["heat", "--t-final", "inf"], "t-final"),
+        (["lyapunov", "--alpha", "inf"], "alpha"),
+        (["lyapunov", "--beta=-inf"], "beta"),
+        (["lyapunov", "--t-burn", "nan"], "t-burn"),
+        (["wiener", "--dt", "1e400"], "dt"),
     ],
 )
 def test_non_finite_float_flag_exits_2(tmp_path, capsys, argv, flag):
@@ -84,6 +94,86 @@ def test_workers_below_one_exits_2(tmp_path, capsys, workers):
     assert run(["wiener", "--workers", workers, "--out", str(tmp_path / "o")]) == 2
     assert "--workers" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# A value outside each bounded flag's domain, at its edge, and a valid value.
+# The finite-only flags (epsilon, alpha, beta, gamma, sigma, t-burn,
+# poincare-c) are covered by test_non_finite_float_flag_exits_2.
+DOMAIN_EDGES = [
+    ("wiener", "seed", -1, 0),
+    ("wiener", "workers", 0, 1),
+    ("wiener", "modes", 0, 4),
+    ("wiener", "samples", 1, 20),
+    ("lyapunov", "mode", 0, 1),
+    ("wiener", "dt", 0.0, 0.01),
+    ("wiener", "t-final", 0.0, 1.0),
+    ("wiener", "t-final", -1.0, 1.0),
+    ("wiener", "l", 0.0, 1.0),
+    ("wave", "c", 0.0, 1.0),
+    ("burgers", "nu", 0.0, 0.5),
+    ("burgers", "delta", 0.0, 1.0),
+    ("burgers", "init-amp", 0.0, 0.5),
+    ("burgers", "noise", "both", "additive"),
+]
+
+
+@pytest.mark.parametrize("cmd, flag, bad, good", DOMAIN_EDGES,
+                         ids=[f"{c}-{f}={b}" for c, f, b, _ in DOMAIN_EDGES])
+def test_value_outside_flag_domain_exits_2(tmp_path, capsys, cmd, flag, bad, good):
+    # Each flag's argparse type is its domain: a value outside it exits 2
+    # with argparse's message naming the flag, from the command line and
+    # from a config file alike, even when a valid flag overrides the entry.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: bad}))
+    text = bad if isinstance(bad, str) else json.dumps(bad)
+    for argv in ([f"--{flag}={text}"], ["--config", str(cfg), f"--{flag}={good}"]):
+        assert run([cmd, *argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --{flag}" in err and "Traceback" not in err, argv
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, source):
+    # SeedSequence rejects a negative seed with a ValueError (exit 3 with a
+    # traceback); the seed's type rejects it first, wherever it comes from.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    argv = {"flag": ["--seed", "-1"], "config": ["--config", str(cfg)], "env": []}[source]
+    if source == "env":
+        monkeypatch.setenv("SPDE_LAB_SEED", "-1")
+    assert run(["wiener", *argv, "--samples", "20", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "argument --seed" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_beyond_64_bits_runs(tmp_path, capsys):
+    seed = 2**70
+    out = tmp_path / "o"
+    assert run(["wiener", "--modes", "4", "--samples", "20", "--seed", str(seed),
+                "--out", str(out)]) in (0, 1)
+    capsys.readouterr()
+    assert json.loads((out / "config.json").read_text())["seed"] == seed
+
+
+def test_every_flag_has_help():
+    [subparsers] = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            assert action.help, (name, action.option_strings)
+
+
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    # An --out that cannot be made (an existing file, or a path under one)
+    # is a configuration error naming --out, not an internal error.
+    (tmp_path / "file").write_text("")
+    assert run(["wiener", "--samples", "20", "--out", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "Traceback" not in err and "internal error" not in err
 
 
 @pytest.mark.parametrize(
@@ -246,7 +336,9 @@ def test_config_null_means_unset(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "entry", [{"samples": [3]}, {"samples": 2.5}, {"seed": True}, {"epsilon": math.inf}]
+    "entry",
+    [{"samples": [3]}, {"samples": 2.5}, {"seed": True}, {"epsilon": math.inf}, {"samples": 1},
+     {"seed": -1}, {"modes": 0}],
 )
 def test_config_bad_value_exits_2(tmp_path, capsys, entry):
     # File values are parsed as flags: what --samples=2.5 rejects, the file
