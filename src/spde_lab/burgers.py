@@ -5,14 +5,17 @@ sine modes.  The advection term is evaluated in skew-symmetric split form
 
     N(u) = -(1/3) [ u u_x + (u^2)_x ]
 
-on a collocation grid of 2N panels, which dealiases every quadratic
-product exactly; <u, N(u)> then vanishes to roundoff, so the discrete
-dynamics cannot produce spurious energy.  Time stepping integrates the
-diffusion exactly per mode (factor exp(-nu lambda_n dt)), treats the
-nonlinearity explicitly and adds the noise as an Euler-Maruyama
-increment:
+on a collocation grid of floor(3N/2) + 1 panels (Orszag's 3/2 rule), which
+dealiases every quadratic product exactly; <u, N(u)> then vanishes to
+roundoff, so the discrete dynamics cannot produce spurious energy.  Time
+stepping is exponential Euler: the linear part is integrated exactly in
+law per mode and the nonlinearity explicitly,
 
-    u_{k+1} = E (u_k + dt N(u_k)) + noise increment.
+    additive:        u_{k+1} = E (u_k + dt N(u_k)) + sigma sqrt(q (1 - E^2) / (2 nu lambda)) z
+    multiplicative:  u_{k+1} = E (u_k + dt N(u_k)) exp(sigma sqrt(dt) z - sigma^2 dt / 2)
+
+with E = exp(-nu lambda_n dt) and standard normals z ([N] per step for
+additive noise, one shared scalar for multiplicative).
 
 The mean-energy bounds follow from the energy inequality
 d/dt E||u||^2 <= -(2 nu / c) E||u||^2 + forcing, with c the Poincare
@@ -99,41 +102,45 @@ class BurgersProblem:
 def _transforms(n_modes: int, length: float):
     """Collocation matrices for the dealiased nonlinearity.
 
-    Nodes are the interior points of the 2N-panel trapezoid rule.  Returns
-    (values, derivs, weight): ``values @ coeffs`` gives grid values,
-    ``derivs @ coeffs`` grid derivatives, and ``weight * values.T @ grid``
-    the projection of a grid function that vanishes at the boundary.
+    Nodes are the interior points of the floor(3N/2) + 1 panel trapezoid
+    rule, the fewest panels that integrate every product of three modes
+    up to N exactly.  Returns (values, derivs, proj_values, proj_derivs):
+    ``coeffs @ values`` gives grid values and ``coeffs @ derivs`` grid
+    derivatives; the projections carry the trapezoid weight w and the
+    skew form's factors, so ``(u u_x) @ proj_values + (u u) @ proj_derivs``
+    is -(w/3) [(u u_x) @ values.T - (u u) @ derivs.T], the modal
+    coefficients of N(u) (the conservative part through integration by
+    parts, <e_n, (u^2)_x> = -<e_n', u^2>).
     """
-    x, w = DirichletBasis(length, n_modes).quadrature(2 * n_modes)
+    x, w = DirichletBasis(length, n_modes).quadrature(3 * n_modes // 2 + 1)
     n = np.arange(1, n_modes + 1)
-    phases = np.outer(x[1:-1], n * np.pi / length)
+    phases = np.outer(n * np.pi / length, x[1:-1])
     values = np.sqrt(2.0 / length) * np.sin(phases)
-    derivs = np.sqrt(2.0 / length) * (n * np.pi / length) * np.cos(phases)
-    return values, derivs, w[1]
+    derivs = np.sqrt(2.0 / length) * (n * np.pi / length)[:, np.newaxis] * np.cos(phases)
+    return values, derivs, (-w[1] / 3.0) * values.T, (w[1] / 3.0) * derivs.T
 
 
 def skew_nonlinearity(prob: BurgersProblem, coeffs: np.ndarray) -> np.ndarray:
     """Modal coefficients of -(1/3)[u u_x + (u^2)_x], dealiased.
 
-    The conservative part is projected through integration by parts
-    (<e_n, (u^2)_x> = -<e_n', u^2>), so no grid differentiation of the
-    square is needed.  Accepts a single state [N] or a batch [B, N].
+    Accepts a single state [N] or a batch [B, N].
     """
-    values, derivs, weight = _transforms(prob.n_modes, prob.length)
-    u_grid = coeffs @ values.T
-    ux_grid = coeffs @ derivs.T
-    advective = (u_grid * ux_grid) @ values
-    conservative = -((u_grid * u_grid) @ derivs)
-    return (-weight / 3.0) * (advective + conservative)
+    values, derivs, proj_values, proj_derivs = _transforms(prob.n_modes, prob.length)
+    u_grid = coeffs @ values
+    ux_grid = coeffs @ derivs
+    out = (u_grid * ux_grid) @ proj_values
+    out += (u_grid * u_grid) @ proj_derivs
+    return out
 
 
 def dt_max(prob: BurgersProblem, coeffs: np.ndarray) -> float:
-    """Advective CFL limit 0.25 l / (N max|u|) for the current state.
+    """Advective CFL limit 0.25 l / (N max|u|) for the current state, with
+    max|u| taken over the collocation nodes.
 
     Diffusion is integrated exactly, so it imposes no step restriction.
     """
-    values, _, _ = _transforms(prob.n_modes, prob.length)
-    peak = float(np.max(np.abs(coeffs @ values.T), initial=0.0))
+    values = _transforms(prob.n_modes, prob.length)[0]
+    peak = float(np.max(np.abs(coeffs @ values), initial=0.0))
     if peak == 0.0:
         return float("inf")
     return 0.25 * prob.length / (prob.n_modes * peak)
@@ -147,18 +154,40 @@ def blowup_threshold(prob: BurgersProblem, e2_init: float) -> float:
     return BLOWUP_FACTOR * (e2_init + asymptote + 1e-30)
 
 
-def _apply_step(prob: BurgersProblem, coeffs: np.ndarray, dt: float, draws: np.ndarray):
-    """One step for a batch [B, N]; draws are standard normals.
+def _step_factors(prob: BurgersProblem, dt: float):
+    """Per-mode decay exp(-nu lambda dt) and the noise gain of one step.
+
+    Additive noise: the gain sigma sqrt(q (1 - exp(-2 nu lambda dt)) /
+    (2 nu lambda)) per mode, the exact standard deviation of the step's
+    stochastic convolution; it is sigma sqrt(q dt) at nu lambda = 0.
+    Multiplicative noise: the scalar sigma sqrt(dt).
+    """
+    rate = prob.nu * prob.eigenvalues
+    decay = np.exp(-rate * dt)
+    if not isinstance(prob.noise, AdditiveNoise):
+        return decay, prob.sigma * np.sqrt(dt)
+    two_rate = np.where(rate > 0, 2 * rate, 1.0)
+    var = np.where(rate > 0, -np.expm1(-two_rate * dt) / two_rate, dt)
+    return decay, prob.sigma * np.sqrt(prob.noise.spectrum.eigenvalues * var)
+
+
+def _apply_step(prob: BurgersProblem, coeffs: np.ndarray, dt: float, factors, draws: np.ndarray):
+    """One exponential-Euler step for a batch [B, N]; ``factors`` are
+    :func:`_step_factors` at ``dt`` and draws are standard normals.
 
     Additive noise consumes draws of shape [B, N]; multiplicative a shape
     [B] shared scalar per sample.
     """
-    decay = np.exp(-prob.nu * prob.eigenvalues * dt)
-    advanced = decay * (coeffs + dt * skew_nonlinearity(prob, coeffs))
+    decay, gain = factors
+    out = skew_nonlinearity(prob, coeffs)
+    out *= dt
+    out += coeffs
+    out *= decay
     if isinstance(prob.noise, AdditiveNoise):
-        gain = prob.sigma * np.sqrt(prob.noise.spectrum.eigenvalues * dt)
-        return advanced + gain * draws
-    return advanced + prob.sigma * np.sqrt(dt) * draws[:, np.newaxis] * coeffs
+        out += gain * draws
+    else:
+        out *= np.exp(gain * draws - 0.5 * gain**2)[:, np.newaxis]
+    return out
 
 
 def trace_block(
@@ -183,13 +212,14 @@ def trace_block(
     e2 = np.empty((stop - start, grid.steps + 1))
     e2[:, 0] = np.sum(coeffs**2, axis=1)
     threshold = blowup_threshold(prob, float(np.sum(prob.init_coeffs**2)))
+    factors = _step_factors(prob, grid.dt)
     dead = np.zeros(stop - start, dtype=bool)
     chunks = stream.block_chunks(start, stop, shape)
     step_draws = (z[:, j] for z in chunks for j in range(z.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, draws in enumerate(step_draws, 1):
-            coeffs = _apply_step(prob, coeffs, grid.dt, draws)
-            energy = np.sum(coeffs**2, axis=1)
+            coeffs = _apply_step(prob, coeffs, grid.dt, factors, draws)
+            energy = np.einsum("ij,ij->i", coeffs, coeffs)
             newly = ~dead & ((~np.isfinite(energy)) | (energy > threshold))
             if np.any(newly):
                 dead |= newly

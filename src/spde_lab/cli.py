@@ -508,7 +508,8 @@ def _run_lyapunov(cfg: dict) -> tuple[Report, dict]:
 def _run_burgers(cfg: dict) -> tuple[Report, dict]:
     grid = _grid(cfg)
     additive = cfg["noise"] == "additive"
-    noise = burgers.AdditiveNoise(_spectrum(cfg)) if additive else burgers.MultiplicativeNoise()
+    spectrum = _spectrum(cfg)  # checked under either noise model
+    noise = burgers.AdditiveNoise(spectrum) if additive else burgers.MultiplicativeNoise()
     u0 = _unit_or_zero(cfg, "init-mode").coeffs * cfg["init-amp"]
     try:  # the flags' types leave only the Poincare constant to reject
         prob = burgers.BurgersProblem(cfg["nu"], cfg["l"], cfg["sigma"], noise, u0,
@@ -592,16 +593,32 @@ def _print_report(report: Report) -> None:
             print(f"    note: {r.note}")
 
 
+def _check_out(out_dir: Path) -> None:
+    """Reject, before the run, an ``--out`` whose nearest existing path
+    (itself or a parent) is not a writable directory; create nothing, so a
+    rejected run leaves no directory behind."""
+    existing = out_dir
+    try:
+        while not existing.exists():
+            existing = existing.parent
+        usable = existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)
+    except OSError:
+        usable = False
+    if not usable:
+        raise ConfigError(f"cannot write --out {out_dir}: {existing} is not a writable directory")
+
+
 def run(argv=None) -> int:
     """Execute one experiment; returns the process exit code."""
     try:
         cfg = _resolve_config(sys.argv[1:] if argv is None else list(argv))
+        out_dir = Path(cfg["out"])
+        _check_out(out_dir)
         try:
             report, series = _EXPERIMENTS[cfg["subcommand"]](cfg)
         except MemoryError:
             raise ConfigError("the run does not fit in memory: lower --samples, --modes "
                               "or --t-final, or raise --dt") from None
-        out_dir = Path(cfg["out"])
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             write_report_csv(report, out_dir / "report.csv")

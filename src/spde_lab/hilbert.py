@@ -4,8 +4,8 @@ induced spatial correlation kernel.
 The basis is fixed: e_n(x) = sqrt(2/l) sin(n pi x / l) for n = 1..N on
 (0, l), with Laplacian eigenvalues (n pi / l)^2.  Spatial integrals use the
 composite trapezoid rule on a uniform grid: 8N panels by default, exact (to
-roundoff) for products of basis modes, and 2N for Burgers' dealiased
-collocation.
+roundoff) for products of basis modes, and floor(3N/2) + 1 for Burgers'
+dealiased collocation (Orszag's 3/2 rule).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from spde_lab import montecarlo
+from spde_lab import burgers, montecarlo
 from spde_lab.burgers import (
     AdditiveNoise,
     BurgersProblem,
@@ -18,7 +18,7 @@ from spde_lab.burgers import (
     skew_nonlinearity,
     trace_block,
 )
-from spde_lab.hilbert import CovarianceSpectrum, HilbertVector
+from spde_lab.hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector
 from spde_lab.montecarlo import RandomStream, map_blocks, pairwise_stats
 from spde_lab.wiener import TimeGrid
 
@@ -130,13 +130,13 @@ def test_step_deterministic_given_key():
     assert np.array_equal(a, b)
 
 
-def test_step_detects_blow_up():
-    # Huge viscosity shrinks the asymptotic scale, so starting from rest a
-    # single noise kick crosses the blow-up threshold: the sample is frozen
-    # at the first step and its remaining energies are NaN.
+def test_step_detects_blow_up(monkeypatch):
+    # With the blow-up threshold below the first noise kick's energy, a
+    # sample started from rest diverges at the first step: it is frozen
+    # there and its remaining energies are NaN.
     spec = CovarianceSpectrum.parse("finite:1", N)
-    prob = BurgersProblem(1e12, 1.0, 1.0, AdditiveNoise(spec), np.zeros(N))
-    assert blowup_threshold(prob, 0.0) < 1e-6
+    prob = BurgersProblem(0.1, 1.0, 1.0, AdditiveNoise(spec), np.zeros(N))
+    monkeypatch.setattr(burgers, "blowup_threshold", lambda prob, e2_init: 1e-12)
     e2 = trace_block(prob, TimeGrid(1e-3, 3), RandomStream(6), 0, 1)
     assert e2[0, 0] == 0.0 and np.all(np.isnan(e2[0, 1:]))
 
@@ -235,7 +235,7 @@ def test_refinement_stability():
     # Couple the coarse run to the fine run's noise (coarse increment =
     # scaled sum of the two fine increments) so the comparison isolates the
     # discretization bias from Monte Carlo noise.
-    from spde_lab.burgers import _apply_step
+    from spde_lab.burgers import _apply_step, _step_factors
 
     prob = _additive(nu=0.25, sigma=0.5)
     samples, fine_steps, dt = 200, 500, 1e-3
@@ -245,14 +245,86 @@ def test_refinement_stability():
     )
     fine = np.tile(prob.init_coeffs, (samples, 1))
     coarse = fine.copy()
+    fine_factors, coarse_factors = _step_factors(prob, dt), _step_factors(prob, 2 * dt)
     for k in range(fine_steps):
-        fine = _apply_step(prob, fine, dt, draws[:, k])
+        fine = _apply_step(prob, fine, dt, fine_factors, draws[:, k])
     for k in range(0, fine_steps, 2):
         coarse_draw = (draws[:, k] + draws[:, k + 1]) / np.sqrt(2.0)
-        coarse = _apply_step(prob, coarse, 2 * dt, coarse_draw)
+        coarse = _apply_step(prob, coarse, 2 * dt, coarse_factors, coarse_draw)
     e2_fine = float(np.sum(fine**2, axis=1).mean())
     e2_coarse = float(np.sum(coarse**2, axis=1).mean())
     assert abs(e2_fine - e2_coarse) / e2_fine < 0.05
+
+
+def _linear_z(monkeypatch, prob, grid, closed_form):
+    """z-scores of the mean energy at t > 0 of 1000 samples run with the
+    nonlinearity switched off, against ``closed_form`` [steps + 1]."""
+    monkeypatch.setattr(burgers, "skew_nonlinearity", lambda prob, coeffs: np.zeros_like(coeffs))
+    _, stats = _ensemble(prob, grid, 1000, RandomStream(16))
+    mean, stderr = np.asarray(stats.mean)[1:], np.asarray(stats.stderr)[1:]
+    return (mean - closed_form[1:]) / stderr
+
+
+def test_exponential_euler_is_exact_in_law_for_the_linear_part(monkeypatch):
+    # Without advection the additive scheme is exact in law at every grid
+    # time: E||u(t)||^2 = sum_n [u0_n^2 e^{-2 nu lambda_n t}
+    # + sigma^2 q_n (1 - e^{-2 nu lambda_n t}) / (2 nu lambda_n)], even at a
+    # step where nu lambda_N dt = 25; the Euler-Maruyama gain
+    # sigma sqrt(q dt) overshoots the high modes' variance there.
+    prob = _additive(nu=0.25, sigma=1.0, spectrum="power:0", amp=0.2)
+    grid = TimeGrid(0.01, 10)
+    rate = 2 * prob.nu * prob.eigenvalues
+    assert rate[-1] * grid.dt / 2 > 0.5
+    decay = np.exp(-rate * grid.times[:, np.newaxis])
+    q = prob.noise.spectrum.eigenvalues
+    closed = np.sum(prob.init_coeffs**2 * decay + prob.sigma**2 * q * (1 - decay) / rate, axis=1)
+    assert np.all(np.abs(_linear_z(monkeypatch, prob, grid, closed)) <= 3)
+
+    exact = burgers._step_factors
+    monkeypatch.setattr(burgers, "_step_factors", lambda prob, dt: (
+        exact(prob, dt)[0], prob.sigma * np.sqrt(prob.noise.spectrum.eigenvalues * dt)))
+    assert np.all(_linear_z(monkeypatch, prob, grid, closed) > 3)
+
+
+def test_exponential_euler_multiplicative_moments(monkeypatch):
+    # Without advection, u_n(t) = u0_n exp(-nu lambda_n t + sigma w(t)
+    # - sigma^2 t / 2) exactly, so E u_n^2 = u0_n^2 e^{(sigma^2 - 2 nu lambda_n) t}.
+    u0 = np.zeros(N)
+    u0[:3] = [0.03, -0.02, 0.01]
+    prob = BurgersProblem(0.05, 1.0, 1.0, MultiplicativeNoise(), u0)
+    grid = TimeGrid(0.05, 10)
+    rates = prob.sigma**2 - 2 * prob.nu * prob.eigenvalues
+    closed = np.sum(u0**2 * np.exp(rates * grid.times[:, np.newaxis]), axis=1)
+    assert np.all(np.abs(_linear_z(monkeypatch, prob, grid, closed)) <= 3)
+
+
+def _skew_on_panels(coeffs, length, panels):
+    """-(1/3)[u u_x + (u^2)_x] projected with the trapezoid rule on
+    ``panels`` panels, the conservative part by parts."""
+    n = coeffs.shape[-1]
+    x, w = DirichletBasis(length, n).quadrature(panels)
+    k = np.arange(1, n + 1) * np.pi / length
+    values = np.sqrt(2 / length) * np.sin(np.outer(x[1:-1], k))
+    derivs = np.sqrt(2 / length) * k * np.cos(np.outer(x[1:-1], k))
+    u, ux = coeffs @ values.T, coeffs @ derivs.T
+    return (-w[1] / 3) * ((u * ux) @ values - (u * u) @ derivs)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_skew_nonlinearity_at_the_three_halves_rule(n):
+    # floor(3N/2) + 1 panels project every term exactly, as 4N panels do;
+    # 3N/2 - 1 panels alias the top modes.  <u, N(u)> vanishes to roundoff.
+    coeffs = np.random.default_rng(n).standard_normal((16, n))
+    prob = BurgersProblem(0.1, 1.3, 0.0, MultiplicativeNoise(), coeffs[0])
+    assert burgers._transforms(n, 1.3)[0].shape == (n, 3 * n // 2)
+    got = skew_nonlinearity(prob, coeffs)
+    want = _skew_on_panels(coeffs, 1.3, 4 * n)
+    scale = np.max(np.abs(want), axis=1)
+    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
+    aliased = _skew_on_panels(coeffs, 1.3, 3 * n // 2 - 1)
+    assert np.max(np.max(np.abs(aliased - want), axis=1) / scale) > 1e-3
+    inner = np.abs(np.sum(coeffs * got, axis=1))
+    assert np.all(inner <= 1e-13 * np.linalg.norm(coeffs, axis=1) * np.linalg.norm(got, axis=1))
 
 
 def test_ensemble_worker_invariance(monkeypatch):

@@ -167,9 +167,14 @@ def test_every_flag_has_help():
 
 
 @pytest.mark.parametrize("target", ["file", "file/sub"])
-def test_unwritable_out_exits_2(tmp_path, capsys, target):
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, target):
     # An --out that cannot be made (an existing file, or a path under one)
-    # is a configuration error naming --out, not an internal error.
+    # is a configuration error naming --out, not an internal error, and is
+    # found before the run draws anything.
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "map_blocks", no_run)
     (tmp_path / "file").write_text("")
     assert run(["wiener", "--samples", "20", "--out", str(tmp_path / target)]) == 2
     err = capsys.readouterr().err
@@ -182,6 +187,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys, target):
         (["wave", "--spectrum", "finite:a"], "spectrum"),
         (["wiener", "--spectrum", "power"], "spectrum"),
         (["burgers", "--spectrum", "finite:-1"], "spectrum"),
+        (["burgers", "--noise", "multiplicative", "--spectrum", "finite:a"], "spectrum"),
         (["wave", "--spectrum", "finite:nan"], "spectrum"),
         (["wave", "--spectrum", "finite:1,1", "--modes", "1"], "spectrum"),
         (["burgers", "--poincare-c", "0.01"], "poincare-c"),
@@ -197,7 +203,8 @@ def test_unwritable_out_exits_2(tmp_path, capsys, target):
         (["heat", "--init-mode", "8", "--t-final", "10"], "t-final"),
     ],
     ids=[
-        "spectrum-number", "spectrum-syntax", "spectrum-negative", "spectrum-nan",
+        "spectrum-number", "spectrum-syntax", "spectrum-negative",
+        "spectrum-multiplicative", "spectrum-nan",
         "spectrum-too-long", "poincare-c", "cfl", "cfl-pool", "f-mode", "g-mode",
         "heat-init-mode", "burgers-init-mode", "heat-epsilon-0", "heat-init-mode-0",
         "heat-variance-underflow",

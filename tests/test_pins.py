@@ -65,16 +65,16 @@ PINS = {
         ["burgers", "--noise", "additive", "--modes", "8", "--dt", "0.001",
          "--t-final", "0.05", "--samples", "40"],
         {
-            "report.csv": "f3539093ddfab83c096f24b27dcdf258b3768a327c41ade8343fe2db37fd3d8a",
-            "series_energy.csv": "416d150d47729d151d0f31fd6780c5974c63c5e5091c6edfc583976ccaa1e5c0",
+            "report.csv": "9257f155923ea60677991b8f1dda969f698f868b687cdb1aa24d16206a99f261",
+            "series_energy.csv": "94b111e21b1842095df829c2a6c7990b10ea1be93866b867855c9d278fbaa84c",
         },
     ),
     "burgers-multiplicative": (
         ["burgers", "--noise", "multiplicative", "--modes", "8", "--dt", "0.001",
          "--t-final", "0.05", "--samples", "40"],
         {
-            "report.csv": "2cadd05a187da52a306983bd4d30153ea54cbedaab24a9fcc5e9b3e4dabfeb93",
-            "series_energy.csv": "f7abea2bf98e881d8ffd3c36234669f4c45dd9971c8e74022669582b4a6f930e",
+            "report.csv": "c81702cdf27d4a2007f968c67af16345e5c093953169c49ed7dfd3c8c990e7fe",
+            "series_energy.csv": "07e0409c456f776a511164afecbf456ebf164ba7e1548dec621d397f8176f3a3",
         },
     ),
 }
