@@ -5,22 +5,22 @@ comparisons as a table of :class:`Check` rows for one runner, and writes
 ``report.csv``, ``summary.json`` and ``series_*.csv`` into ``--out``.  Exit
 status is 0 when every gating comparison passes, 1 on a statistical
 failure, 2 on a usage or configuration error and 3 on an internal error:
-any other exception, traceback on stderr.
+any other exception, traceback on stderr; a closed stdout keeps the status.
 
 Flags are long-form kebab-case, each declared once in ``_FLAGS``: its
 argparse type is its domain (a finite number, a lower bound), so a value
 outside it exits 2 with argparse's message naming the flag.  A
 :class:`ConfigError` (exit 2, naming the flags) carries the rest: rules
 across flags, the library's rejection of an input, a run too large for
-memory and an ``--out`` that cannot be written.  Every flag has a
-config-file equivalent: ``--config file.json`` reads a JSON object whose
-keys equal the flag names.  Its entries are parsed as flags placed before
-the command line's, so an explicit flag overrides the file, and an entry
-outside its flag's domain exits 2 even when a flag overrides it; ``null``
-leaves a flag unset, so a run's own ``config.json`` replays it.  The
-environment variable ``SPDE_LAB_SEED`` is parsed as a ``--seed`` flag placed
-before the file's, so the seed comes from the flag, then the file, then the
-environment, then 0.
+memory or the float range and an ``--out`` that cannot be written.  Every
+flag has a config-file equivalent: ``--config file.json`` reads a JSON
+object whose keys equal the flag names.  Its entries are parsed as flags
+placed before the command line's, so an explicit flag overrides the file,
+and an entry outside its flag's domain exits 2 even when a flag overrides
+it; ``null`` leaves a flag unset, so a run's own ``config.json`` replays it.
+The environment variable ``SPDE_LAB_SEED`` is parsed as a ``--seed`` flag
+placed before the file's, so the seed comes from the flag, then the file,
+then the environment, then 0.
 
 Given the same configuration and seed, the data CSVs are byte-identical
 for any ``--workers`` value; ``summary.json`` embeds the wall-clock time
@@ -288,12 +288,12 @@ def _field_block(simulate, prob, grid, basis_vals, means, pairs, stream, start, 
 
     ``simulate`` is ``wave.simulate_block`` (energies at every step) or
     ``heat.simulate_block`` (none): with ``keep`` it returns u at the
-    checkpoints and the final step only.  ``means`` maps each checkpoint
-    index to its mean coefficients.
+    checkpoints only.  ``means`` maps each checkpoint index to its mean
+    coefficients; the last checkpoint is the final step.
     """
-    keep = sorted({*means, grid.steps})
+    keep = sorted(means)
     u, extra = simulate(prob, grid, stream, start, stop, keep)
-    devs = {k: u[:, j, :] - means[k] for j, k in enumerate(keep) if k in means}
+    devs = {k: u[:, j, :] - means[k] for j, k in enumerate(keep)}
     cols = [u[:, -1, :] @ basis_vals.T]
     cols += [np.sum(devs[a] * devs[b], axis=1)[:, np.newaxis] for a, b in pairs]
     return np.concatenate(cols + [extra], axis=1)
@@ -619,6 +619,9 @@ def run(argv=None) -> int:
         except MemoryError:
             raise ConfigError("the run does not fit in memory: lower --samples, --modes "
                               "or --t-final, or raise --dt") from None
+        except OverflowError:
+            raise ConfigError("the run overflows the float range: lower the noise intensity "
+                              "(--epsilon, --sigma or --gamma)") from None
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             write_report_csv(report, out_dir / "report.csv")
@@ -638,11 +641,16 @@ def run(argv=None) -> int:
         print(f"{traceback.format_exc()}internal error", file=sys.stderr)
         return 3
 
-    _print_report(report)
-    counts = report.counts()
-    status = "PASS" if report.all_passed() else "FAIL"
-    print(f"{status}: {counts['passed']}/{counts['gating']} gating checks passed "
-          f"-> {out_dir}")
+    try:
+        _print_report(report)
+        counts = report.counts()
+        status = "PASS" if report.all_passed() else "FAIL"
+        print(f"{status}: {counts['passed']}/{counts['gating']} gating checks passed "
+              f"-> {out_dir}", flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``) after the files were written:
+        # the verdict stands, and the exit-time flush goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.all_passed() else 1
 
 

@@ -3,9 +3,9 @@ induced spatial correlation kernel.
 
 The basis is fixed: e_n(x) = sqrt(2/l) sin(n pi x / l) for n = 1..N on
 (0, l), with Laplacian eigenvalues (n pi / l)^2.  Spatial integrals use the
-composite trapezoid rule on a uniform grid: 8N panels by default, exact (to
-roundoff) for products of basis modes, and floor(3N/2) + 1 for Burgers'
-dealiased collocation (Orszag's 3/2 rule).
+composite trapezoid rule on a uniform grid of M panels, which integrates the
+product of two basis modes exactly (to roundoff) when M > N; Burgers'
+dealiased collocation takes M = floor(3N/2) + 1 (Orszag's 3/2 rule).
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ class DirichletBasis:
         phases = self.mode_numbers * np.pi / self.length * x[..., np.newaxis]
         return np.sqrt(2.0 / self.length) * np.sin(phases)
 
-    def quadrature(self, panels: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform trapezoid nodes and weights; default 8*n_modes panels."""
-        if panels is None:
-            panels = 8 * self.n_modes
+    def quadrature(self, panels: int) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform trapezoid nodes and weights of ``panels`` panels."""
         x = np.linspace(0.0, self.length, panels + 1)
         w = np.full(panels + 1, self.length / panels)
         w[0] *= 0.5
@@ -121,17 +119,8 @@ class CovarianceSpectrum:
         return float(np.sum(self.eigenvalues))
 
     @classmethod
-    def finite(cls, values) -> "CovarianceSpectrum":
-        return cls(np.asarray(values, dtype=float))
-
-    @classmethod
     def power(cls, p: float, n_modes: int) -> "CovarianceSpectrum":
         q = np.arange(1, n_modes + 1, dtype=float) ** (-p)
-        return cls(q)
-
-    @classmethod
-    def exponential(cls, r: float, n_modes: int) -> "CovarianceSpectrum":
-        q = np.exp(-r * np.arange(1, n_modes + 1, dtype=float))
         return cls(q)
 
     @classmethod
@@ -153,11 +142,11 @@ class CovarianceSpectrum:
                 )
             padded = np.zeros(n_modes)
             padded[: len(values)] = values
-            return cls.finite(padded)
+            return cls(padded)
         if kind == "power":
             return cls.power(float(arg), n_modes)
         if kind == "exp":
-            return cls.exponential(float(arg), n_modes)
+            return cls(np.exp(-float(arg) * np.arange(1, n_modes + 1, dtype=float)))
         raise ValueError(f"unknown spectrum kind {kind!r}")
 
 

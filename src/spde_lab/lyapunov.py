@@ -67,15 +67,9 @@ def _active_modes(prob: LyapunovProblem) -> np.ndarray:
     return active
 
 
-def lowest_active_mode(prob: LyapunovProblem) -> int:
-    """Smallest mode index n with |f_n| above ACTIVE_TOL * ||f|| (1-based)."""
-    return int(_active_modes(prob)[0]) + 1
-
-
 def exponent_deterministic(prob: LyapunovProblem) -> float:
-    """Exponent -lambda_{n0} + alpha of the noiseless system."""
-    n0 = lowest_active_mode(prob)
-    return -prob.eigenvalues[n0 - 1] + prob.alpha
+    """Exponent -lambda_{n0} + alpha of the noiseless system, n0 its lowest active mode."""
+    return -prob.eigenvalues[_active_modes(prob)[0]] + prob.alpha
 
 
 def exponent_stochastic(prob: LyapunovProblem) -> float:

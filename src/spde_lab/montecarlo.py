@@ -74,21 +74,6 @@ class RandomStream:
                 gen.standard_normal(out=row)
             yield out
 
-    def block_normals(self, start: int, stop: int, shape) -> np.ndarray:
-        """Draws of shape ``[stop - start, *shape]`` for samples [start, stop).
-
-        Row ``i - start`` holds ``child(i).generator().standard_normal(shape)``,
-        so a sample's draws do not depend on the block it falls in: the
-        slices of :meth:`block_chunks`, written one after another into one
-        preallocated array.
-        """
-        out = np.empty((stop - start, *np.atleast_1d(shape)))
-        r0 = 0
-        for chunk in self.block_chunks(start, stop, shape):
-            out[:, r0 : r0 + chunk.shape[1]] = chunk
-            r0 += chunk.shape[1]
-        return out
-
 
 @dataclass
 class EnsembleStats:

@@ -30,20 +30,6 @@ from .wiener import TimeGrid, running_sums
 _CHOLESKY_PIVOT_TOL = 1e-14
 
 
-def modal_data(
-    f: HilbertVector, g: HilbertVector, wave_speed: float, length: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Initial-condition amplitudes: A_n = f_n and B_n = l g_n / (c n pi)."""
-    if wave_speed <= 0:
-        raise ValueError("wave speed must be positive")
-    if length <= 0:
-        raise ValueError("domain length must be positive")
-    if len(f) != len(g):
-        raise ValueError("f and g must share the number of modes")
-    n = np.arange(1, len(f) + 1)
-    return f.coeffs.copy(), length / (wave_speed * n * np.pi) * g.coeffs
-
-
 @dataclass(frozen=True)
 class WaveProblem:
     """Wave equation setup: speed, domain, noise intensity and initial data."""
@@ -91,8 +77,12 @@ class WaveProblem:
         epsilon: float,
         spectrum: CovarianceSpectrum,
     ) -> "WaveProblem":
-        a, b = modal_data(f, g, wave_speed, length)
-        return cls(wave_speed, length, epsilon, spectrum, a, b)
+        """Displacement f and velocity g at t = 0: A_n = f_n, B_n = l g_n / (c n pi)."""
+        if len(f) != len(g):
+            raise ValueError("f and g must share the number of modes")
+        n = np.arange(1, len(f) + 1)
+        b = length / (wave_speed * n * np.pi) * g.coeffs
+        return cls(wave_speed, length, epsilon, spectrum, f.coeffs.copy(), b)
 
 
 def _increment_factors(prob: WaveProblem, grid: TimeGrid):

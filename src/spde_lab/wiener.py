@@ -57,13 +57,17 @@ def sample_increments_block(
     [t_k, t_{k+1}] in sample i.
 
     Sample i draws from ``stream.child(i)``, so ensembles are independent
-    of how the index range is sharded.  The field is sum_n sqrt(q_n)
+    of how the index range is sharded; the ``RandomStream.block_chunks``
+    slices are scaled into the result.  The field is sum_n sqrt(q_n)
     W_n(t) e_n(x), with W_n the cumulative sums of the increments.
     """
     if len(spectrum) != basis.n_modes:
         raise ValueError("spectrum and basis must share the number of modes")
-    out = stream.block_normals(start, stop, (grid.steps, basis.n_modes))
-    out *= np.sqrt(grid.dt)
+    out = np.empty((stop - start, grid.steps, basis.n_modes))
+    r0 = 0
+    for z in stream.block_chunks(start, stop, (grid.steps, basis.n_modes)):
+        np.multiply(z, np.sqrt(grid.dt), out=out[:, r0 : r0 + z.shape[1]])
+        r0 += z.shape[1]
     return out
 
 

@@ -152,7 +152,7 @@ def test_blowup_threshold_scales():
 def test_additive_bound_evaluator_values():
     # t = 0 returns the initial energy; sigma = 0 is pure decay; the
     # large-time limit at nu = 1 is c sigma^2 l Tr(Q) / 2 = 1 / (2 pi^2).
-    spec = CovarianceSpectrum.finite([1.0] + [0.0] * (N - 1))
+    spec = CovarianceSpectrum([1.0] + [0.0] * (N - 1))
     u0 = HilbertVector.unit(N, 1, 0.1).coeffs
     prob = BurgersProblem(1.0, 1.0, 1.0, AdditiveNoise(spec), u0)
     e0 = float(np.sum(u0**2))

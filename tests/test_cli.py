@@ -251,6 +251,27 @@ def test_run_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heat", "--epsilon", "1e200"],
+        ["wave", "--epsilon", "1e100", "--samples", "20"],
+        ["burgers", "--sigma", "1e200", "--samples", "2", "--t-final", "0.01"],
+        ["lyapunov", "--gamma", "1e200"],
+    ],
+    ids=["heat", "wave", "burgers", "lyapunov"],
+)
+def test_float_overflow_exits_2(argv, tmp_path, capsys):
+    # A closed form's Python-float power of the noise intensity (eps^2,
+    # eps^4, sigma^2, gamma^2) overflows: a configuration error naming the
+    # noise flags, not an internal error.
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "--epsilon" in err and "--sigma" in err and "--gamma" in err
+    assert "Traceback" not in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no-such-flag": 1}))
@@ -751,3 +772,23 @@ def test_cli_runs_without_scipy_or_an_idle_pool(tmp_path, workers):
     assert not any(m.split(".")[0] == "scipy" for m in result["loaded"]), result["loaded"]
     # The sampled runs have 300 samples, three blocks: --workers 2 starts a pool.
     assert ("concurrent.futures" in result["loaded"]) == (workers > 1), result["loaded"]
+
+
+def test_closed_stdout_keeps_the_verdict(tmp_path):
+    # The reading end is closed before the child prints (as after `| head`),
+    # so its first write to stdout fails with EPIPE.  The files are written
+    # by then: the exit status is the verdict, with no traceback.
+    env = dict(os.environ, PYTHONPATH=str(Path(spde_lab.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "spde_lab.cli", "wiener", "--samples", "20",
+             "--out", str(tmp_path)],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert done.returncode == (0 if summary["all-passed"] else 1)
+    assert done.stderr == ""

@@ -11,7 +11,6 @@ from spde_lab.lyapunov import (
     exponent_deterministic,
     exponent_stochastic,
     log_norm_path,
-    lowest_active_mode,
 )
 from spde_lab.montecarlo import RandomStream
 from spde_lab.wiener import TimeGrid
@@ -48,8 +47,10 @@ def test_all_zero_initial_condition_rejected():
 
 
 def test_active_mode_threshold_is_relative():
-    prob = _prob(coeffs=(1e-13, 1.0, 0.0, 0.0))
-    assert lowest_active_mode(prob) == 2
+    # 1e-13 is below ACTIVE_TOL relative to ||f||, so mode 2 is the lowest.
+    prob = _prob(alpha=0.5, coeffs=(1e-13, 1.0, 0.0, 0.0))
+    assert exponent_deterministic(prob) == -prob.eigenvalues[1] + 0.5
+    assert exponent_deterministic(prob) == pytest.approx(0.5 - 4 * PI2, rel=1e-14)
 
 
 def test_adding_higher_modes_keeps_exponent():
@@ -192,7 +193,7 @@ def test_log_norm_path_matches_logsumexp(k, slowest):
     if slowest is not None:
         coeffs[0] = slowest * np.sqrt(np.sum(coeffs[1:] ** 2) / (1 - slowest**2))
     prob = _prob(beta=0.3, gamma=1.1, coeffs=coeffs)
-    assert lowest_active_mode(prob) == 1
+    assert exponent_deterministic(prob) == -prob.eigenvalues[0]
     grid = TimeGrid(0.5, 2000)
     got = log_norm_path(prob, grid, RandomStream(k))
 

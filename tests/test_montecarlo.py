@@ -54,15 +54,6 @@ def test_step_component_does_not_leak_across_samples():
     assert np.array_equal(before, after)
 
 
-@pytest.mark.parametrize("shape, empty_shape", [(5, (0, 5)), ((4, 3), (0, 4, 3))])
-def test_block_normals_match_per_sample_draws(shape, empty_shape):
-    stream = RandomStream(11)
-    block = stream.block_normals(3, 7, shape)
-    expected = np.stack([stream.child(i).generator().standard_normal(shape) for i in range(3, 7)])
-    assert np.array_equal(block, expected)
-    assert stream.block_normals(2, 2, shape).shape == empty_shape
-
-
 @pytest.mark.parametrize("rows", [1, 3, 9, 14])
 @pytest.mark.parametrize("shape", [(9, 4, 2), (9, 4), (9,)])
 def test_block_chunks_concatenate_to_block_normals(monkeypatch, shape, rows):
@@ -75,20 +66,6 @@ def test_block_chunks_concatenate_to_block_normals(monkeypatch, shape, rows):
     assert [c.shape[1] for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
     expected = np.stack([stream.child(i).generator().standard_normal(shape) for i in range(5, 9)])
     assert np.array_equal(np.concatenate(chunks, axis=1), expected)
-    assert np.array_equal(stream.block_normals(5, 9, shape), expected)
-
-
-def test_block_normals_fill_one_array():
-    # 64 samples x 200 steps x 64 x 2: a 12.5 MiB result; the slices are written
-    # into it one at a time instead of being held and then joined.
-    tracemalloc.start()
-    try:
-        block = RandomStream(1).block_normals(0, 64, (200, 64, 2))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert block.shape == (64, 200, 64, 2)
-    assert peak < 1.5 * block.nbytes
 
 
 def _loop_child_calls(tree) -> set:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from spde_lab import montecarlo
 from spde_lab.hilbert import CovarianceSpectrum, DirichletBasis
 from spde_lab.montecarlo import RandomStream, pairwise_stats
 from spde_lab.wiener import TimeGrid, running_sums, sample_increments_block
@@ -40,7 +43,7 @@ def test_grid_validation():
 
 
 def test_zero_spectrum_gives_zero_field():
-    spec = CovarianceSpectrum.finite(np.zeros(N_MODES))
+    spec = CovarianceSpectrum(np.zeros(N_MODES))
     coeff = _ensemble_coefficients(spec, TimeGrid(0.1, 10), RandomStream(1), 1)
     for k in (0, 5, 10):
         assert _field_values(coeff[0, k], 0.3) == 0.0
@@ -59,7 +62,7 @@ def test_field_zero_at_initial_time():
 
 
 def test_single_mode_field_is_rank_one():
-    spec = CovarianceSpectrum.finite([1.0] + [0.0] * (N_MODES - 1))
+    spec = CovarianceSpectrum([1.0] + [0.0] * (N_MODES - 1))
     coeff = _ensemble_coefficients(spec, TimeGrid(0.5, 2), RandomStream(3), 1)
     ratios = [
         _field_values(coeff[0, 2], x) / BASIS.evaluate(x)[0] for x in (0.1, 0.3, 0.6, 0.9)
@@ -77,9 +80,40 @@ def test_block_sampling_matches_child_keys():
     assert np.array_equal(block[2], keyed)
 
 
+@pytest.mark.parametrize("rows", [None, 1, 3, 9, 14])
+def test_sample_increments_block_matches_per_sample_draws(monkeypatch, rows):
+    # Row i - start is sqrt(dt) times sample i's own draws, whatever the
+    # block_chunks slices: CHUNK_BYTES holds `rows` steps of 4 samples of a
+    # 9-step grid (1, 3, all and more than all steps), or its default.
+    if rows is not None:
+        monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 8 * 4 * N_MODES * rows)
+    grid = TimeGrid(0.2, 9)
+    stream = RandomStream(13)
+    block = sample_increments_block(SPEC, BASIS, grid, stream, 5, 9)
+    draws = [stream.child(i).generator().standard_normal((9, N_MODES)) for i in range(5, 9)]
+    assert np.array_equal(block, np.sqrt(grid.dt) * np.stack(draws))
+    empty = sample_increments_block(SPEC, BASIS, grid, stream, 2, 2)
+    assert empty.shape == (0, 9, N_MODES)
+
+
+def test_sample_increments_block_fills_one_array():
+    # 64 samples x 200 steps x 128 modes: a 12.5 MiB result; the slices are
+    # scaled into it one at a time instead of being held and then joined.
+    n = 128
+    spec, basis = CovarianceSpectrum.power(2.0, n), DirichletBasis(1.0, n)
+    tracemalloc.start()
+    try:
+        block = sample_increments_block(spec, basis, TimeGrid(0.01, 200), RandomStream(1), 0, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (64, 200, n)
+    assert peak < 1.5 * block.nbytes
+
+
 def test_norm_identity_monte_carlo():
     # E ||W_t||^2 = t Tr(Q) with q = (1, 0.5): expect 3.0 at t = 2.
-    spec = CovarianceSpectrum.finite([1.0, 0.5] + [0.0] * (N_MODES - 2))
+    spec = CovarianceSpectrum([1.0, 0.5] + [0.0] * (N_MODES - 2))
     grid = TimeGrid(1.0, 2)
     coeff = _ensemble_coefficients(spec, grid, RandomStream(11), 10_000)
     stats = pairwise_stats(np.sum(coeff[:, 2, :] ** 2, axis=1))
@@ -160,7 +194,7 @@ def test_ito_integral_mean_zero():
 def test_scalar_ito_isometry():
     # E [int_0^T sin(pi s) dW_n]^2 = int_0^T sin^2(pi s) ds (quadrature oracle).
     grid = TimeGrid(1e-3, 1000)
-    spec = CovarianceSpectrum.finite([1.0] + [0.0] * (N_MODES - 1))
+    spec = CovarianceSpectrum([1.0] + [0.0] * (N_MODES - 1))
     inc = sample_increments_block(spec, BASIS, grid, RandomStream(41), 0, 10_000)
     integrals = np.sum(np.sin(np.pi * grid.times[:-1])[:, np.newaxis] * inc[:, :, :1], axis=1)
     oracle, _ = quad(lambda s: np.sin(np.pi * s) ** 2, 0.0, 1.0)
