@@ -54,6 +54,18 @@ def test_step_component_does_not_leak_across_samples():
     assert np.array_equal(before, after)
 
 
+@pytest.mark.parametrize("shape, empty_shape", [(5, (0, 5)), ((4, 3), (0, 4, 3))])
+def test_block_normals_match_per_sample_draws(shape, empty_shape):
+    # The slices of block_chunks, joined along time, are each sample's own
+    # draws; an empty sample range still yields one slice of the block's shape.
+    stream = RandomStream(11)
+    block = np.concatenate(list(stream.block_chunks(3, 7, shape)), axis=1)
+    expected = np.stack([stream.child(i).generator().standard_normal(shape) for i in range(3, 7)])
+    assert np.array_equal(block, expected)
+    empty = np.concatenate(list(stream.block_chunks(2, 2, shape)), axis=1)
+    assert empty.shape == empty_shape
+
+
 @pytest.mark.parametrize("rows", [1, 3, 9, 14])
 @pytest.mark.parametrize("shape", [(9, 4, 2), (9, 4), (9,)])
 def test_block_chunks_concatenate_to_block_normals(monkeypatch, shape, rows):
