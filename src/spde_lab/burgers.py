@@ -14,8 +14,9 @@ law per mode and the nonlinearity explicitly,
     additive:        u_{k+1} = E (u_k + dt N(u_k)) + sigma sqrt(q (1 - E^2) / (2 nu lambda)) z
     multiplicative:  u_{k+1} = E (u_k + dt N(u_k)) exp(sigma sqrt(dt) z - sigma^2 dt / 2)
 
-with E = exp(-nu lambda_n dt) and standard normals z ([N] per step for
-additive noise, one shared scalar for multiplicative).
+with E = exp(-nu lambda_n dt) and standard normals z (additive: one per
+step for each mode whose gain is nonzero; multiplicative: one shared
+scalar).
 
 The mean-energy bounds follow from the energy inequality
 d/dt E||u||^2 <= -(2 nu / c) E||u||^2 + forcing, with c the Poincare
@@ -171,12 +172,17 @@ def _step_factors(prob: BurgersProblem, dt: float):
     return decay, prob.sigma * np.sqrt(prob.noise.spectrum.eigenvalues * var)
 
 
-def _apply_step(prob: BurgersProblem, coeffs: np.ndarray, dt: float, factors, draws: np.ndarray):
+def _apply_step(
+    prob: BurgersProblem, coeffs: np.ndarray, dt: float, factors, draws: np.ndarray,
+    forced=slice(None),
+):
     """One exponential-Euler step for a batch [B, N]; ``factors`` are
     :func:`_step_factors` at ``dt`` and draws are standard normals.
 
-    Additive noise consumes draws of shape [B, N]; multiplicative a shape
-    [B] shared scalar per sample.
+    Additive noise adds gain * draws into the columns ``forced`` (all N by
+    default), with the gain [M] and the draws [B, M] given for those
+    columns only; multiplicative noise consumes a shape [B] shared scalar
+    per sample.
     """
     decay, gain = factors
     out = skew_nonlinearity(prob, coeffs)
@@ -184,7 +190,7 @@ def _apply_step(prob: BurgersProblem, coeffs: np.ndarray, dt: float, factors, dr
     out += coeffs
     out *= decay
     if isinstance(prob.noise, AdditiveNoise):
-        out += gain * draws
+        out[:, forced] += gain * draws
     else:
         out *= np.exp(gain * draws - 0.5 * gain**2)[:, np.newaxis]
     return out
@@ -199,26 +205,37 @@ def trace_block(
     A sample whose energy turns non-finite or crosses the blow-up threshold
     is reset to zero and its row is NaN from that step on; it never
     contaminates other rows, and the samples that diverged are
-    ``np.isnan(e2[:, -1])``.  The standard normals, [steps, N] per sample
-    for additive noise and [steps] for multiplicative, arrive in the time
+    ``np.isnan(e2[:, -1])``.  The standard normals arrive in the time
     slices of ``RandomStream.block_chunks``, so the block never holds all
-    of them at once.
+    of them at once.  Additive noise draws, per sample and step, one normal
+    for each mode whose gain is nonzero, in mode order: [steps, M] per
+    sample for M forced modes.  Multiplicative noise draws [steps].
     """
     limit = dt_max(prob, prob.init_coeffs)
     if grid.dt > limit:
         raise StepSizeError(f"dt={grid.dt} exceeds the advective CFL limit {limit:.3e}")
-    shape = (grid.steps, prob.n_modes) if isinstance(prob.noise, AdditiveNoise) else (grid.steps,)
+    factors = _step_factors(prob, grid.dt)
+    forced, shape = slice(None), (grid.steps,)
+    if isinstance(prob.noise, AdditiveNoise):
+        # An unforced mode's noise is 0 * z = 0 whatever z is, so it draws
+        # nothing.  With every mode forced, the full slice adds in place,
+        # 10% faster on the power:2 defaults than the indexed add.
+        decay, gain = factors
+        forced = np.flatnonzero(gain)
+        if forced.size == prob.n_modes:
+            forced = slice(None)
+        factors = (decay, gain[forced])
+        shape = (grid.steps, factors[1].size)
     coeffs = np.tile(prob.init_coeffs, (stop - start, 1))
     e2 = np.empty((stop - start, grid.steps + 1))
     e2[:, 0] = np.sum(coeffs**2, axis=1)
     threshold = blowup_threshold(prob, float(np.sum(prob.init_coeffs**2)))
-    factors = _step_factors(prob, grid.dt)
     dead = np.zeros(stop - start, dtype=bool)
     chunks = stream.block_chunks(start, stop, shape)
     step_draws = (z[:, j] for z in chunks for j in range(z.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, draws in enumerate(step_draws, 1):
-            coeffs = _apply_step(prob, coeffs, grid.dt, factors, draws)
+            coeffs = _apply_step(prob, coeffs, grid.dt, factors, draws, forced)
             energy = np.einsum("ij,ij->i", coeffs, coeffs)
             newly = ~dead & ((~np.isfinite(energy)) | (energy > threshold))
             if np.any(newly):

@@ -516,6 +516,8 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
                                       cfg["poincare-c"])
     except ValueError as exc:
         raise ConfigError(f"--poincare-c {cfg['poincare-c']:g}: {exc}") from exc
+    if not np.isfinite(cfg["delta"] * cfg["delta"]):  # the exit rows compare e2 with delta^2
+        raise ConfigError(f"--delta {cfg['delta']:g}: its square overflows the float range")
     fn = partial(burgers.trace_block, prob, grid, RandomStream(cfg["seed"]).child(0))
     try:
         e2 = map_blocks(fn, cfg["samples"], workers=cfg["workers"])

@@ -30,6 +30,11 @@ from .wiener import TimeGrid, running_sums
 _CHOLESKY_PIVOT_TOL = 1e-14
 
 
+def _check_speed_and_length(wave_speed: float, length: float) -> None:
+    if wave_speed <= 0 or length <= 0:
+        raise ValueError("wave speed and length must be positive")
+
+
 @dataclass(frozen=True)
 class WaveProblem:
     """Wave equation setup: speed, domain, noise intensity and initial data."""
@@ -42,8 +47,7 @@ class WaveProblem:
     sin_amps: np.ndarray
 
     def __post_init__(self):
-        if self.wave_speed <= 0 or self.length <= 0:
-            raise ValueError("wave speed and length must be positive")
+        _check_speed_and_length(self.wave_speed, self.length)
         a = np.asarray(self.cos_amps, dtype=float)
         b = np.asarray(self.sin_amps, dtype=float)
         if a.shape != b.shape or a.ndim != 1:
@@ -80,6 +84,7 @@ class WaveProblem:
         """Displacement f and velocity g at t = 0: A_n = f_n, B_n = l g_n / (c n pi)."""
         if len(f) != len(g):
             raise ValueError("f and g must share the number of modes")
+        _check_speed_and_length(wave_speed, length)  # before dividing by c
         n = np.arange(1, len(f) + 1)
         b = length / (wave_speed * n * np.pi) * g.coeffs
         return cls(wave_speed, length, epsilon, spectrum, f.coeffs.copy(), b)

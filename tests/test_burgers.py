@@ -394,12 +394,48 @@ def test_trace_block_independent_of_chunk_rows(monkeypatch, make):
     assert np.array_equal(runs[0], runs[1])
 
 
+def test_trace_block_draws_only_the_forced_modes():
+    # Modes 1 and 3 (0-based) carry noise: each sample draws [steps, 2]
+    # from its own substream, and the run equals, bit for bit, full-width
+    # steps whose unforced columns draw zero.  At sigma = 0 no mode draws
+    # and the run is the noiseless recursion.
+    n, steps, start, stop = 8, 30, 3, 8
+    spec = CovarianceSpectrum.parse("finite:0,1,0,0.5", n)
+    u0 = 0.5 * np.sin(np.arange(1.0, n + 1))
+    grid = TimeGrid(1e-3, steps)
+    prob = BurgersProblem(0.1, 1.0, 0.5, AdditiveNoise(spec), u0)
+    factors = burgers._step_factors(prob, grid.dt)
+    forced = np.flatnonzero(factors[1])
+    assert forced.tolist() == [1, 3]
+    z = np.stack([RandomStream(17).child(i).generator().standard_normal((steps, forced.size))
+                  for i in range(start, stop)])
+    coeffs = np.tile(u0, (stop - start, 1))
+    want = [np.einsum("ij,ij->i", coeffs, coeffs)]
+    for k in range(steps):
+        draws = np.zeros_like(coeffs)
+        draws[:, forced] = z[:, k]
+        coeffs = burgers._apply_step(prob, coeffs, grid.dt, factors, draws)
+        want.append(np.einsum("ij,ij->i", coeffs, coeffs))
+    got = trace_block(prob, grid, RandomStream(17), start, stop)
+    assert np.array_equal(got, np.stack(want, axis=1))
+
+    still = BurgersProblem(0.1, 1.0, 0.0, AdditiveNoise(spec), u0)
+    decay = np.exp(-still.nu * still.eigenvalues * grid.dt)
+    coeffs = np.tile(u0, (stop - start, 1))
+    want = [np.einsum("ij,ij->i", coeffs, coeffs)]
+    for k in range(steps):
+        coeffs = decay * (coeffs + grid.dt * skew_nonlinearity(still, coeffs))
+        want.append(np.einsum("ij,ij->i", coeffs, coeffs))
+    got = trace_block(still, grid, RandomStream(17), start, stop)
+    assert np.array_equal(got, np.stack(want, axis=1))
+
+
 def test_trace_block_memory_below_its_draws():
-    # 128 samples x 64 modes x 500 steps: the whole-block draws are 31 MiB,
-    # but only one time slice of them is held at a time.
+    # 128 samples x 64 forced modes x 500 steps: the whole-block draws are
+    # 31 MiB, but only one time slice of them is held at a time.
     n, batch, steps = 64, 128, 500
     prob = BurgersProblem(
-        0.05, 1.0, 1.0, AdditiveNoise(CovarianceSpectrum.parse("finite:1", n)),
+        0.05, 1.0, 1.0, AdditiveNoise(CovarianceSpectrum.parse("power:2", n)),
         HilbertVector.unit(n, 1, 0.5).coeffs,
     )
     tracemalloc.start()

@@ -272,6 +272,18 @@ def test_float_overflow_exits_2(argv, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_delta_overflow_exits_2_naming_delta(tmp_path, capsys, monkeypatch):
+    # delta^2 overflows: rejected before any sample runs, naming --delta
+    # rather than the noise flags.
+    monkeypatch.setattr(cli, "map_blocks", lambda *a, **k: pytest.fail("the run started"))
+    argv = ["burgers", "--delta", "1e200", "--samples", "2", "--t-final", "0.01"]
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "--delta" in err
+    assert "Traceback" not in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no-such-flag": 1}))
