@@ -14,9 +14,10 @@ law per mode and the nonlinearity explicitly,
     additive:        u_{k+1} = E (u_k + dt N(u_k)) + sigma sqrt(q (1 - E^2) / (2 nu lambda)) z
     multiplicative:  u_{k+1} = E (u_k + dt N(u_k)) exp(sigma sqrt(dt) z - sigma^2 dt / 2)
 
-with E = exp(-nu lambda_n dt) and standard normals z (additive: one per
-step for each mode whose gain is nonzero; multiplicative: one shared
-scalar).
+with E = exp(-nu lambda_n dt) and standard normals z.  Each step draws one
+normal per noise gain up to the last nonzero one: at most N under additive
+noise (one gain per mode), and one under multiplicative noise (one shared
+gain; none at sigma = 0).
 
 The mean-energy bounds follow from the energy inequality
 d/dt E||u||^2 <= -(2 nu / c) E||u||^2 + forcing, with c the Poincare
@@ -156,33 +157,29 @@ def blowup_threshold(prob: BurgersProblem, e2_init: float) -> float:
 
 
 def _step_factors(prob: BurgersProblem, dt: float):
-    """Per-mode decay exp(-nu lambda dt) and the noise gain of one step.
+    """Per-mode decay exp(-nu lambda dt) and the noise gains of one step.
 
-    Additive noise: the gain sigma sqrt(q (1 - exp(-2 nu lambda dt)) /
-    (2 nu lambda)) per mode, the exact standard deviation of the step's
+    Additive noise: one gain per mode, sigma sqrt(q (1 - exp(-2 nu lambda
+    dt)) / (2 nu lambda)), the exact standard deviation of the step's
     stochastic convolution; it is sigma sqrt(q dt) at nu lambda = 0.
-    Multiplicative noise: the scalar sigma sqrt(dt).
+    Multiplicative noise: one shared gain, [sigma sqrt(dt)].
     """
     rate = prob.nu * prob.eigenvalues
     decay = np.exp(-rate * dt)
     if not isinstance(prob.noise, AdditiveNoise):
-        return decay, prob.sigma * np.sqrt(dt)
+        return decay, np.array([prob.sigma * np.sqrt(dt)])
     two_rate = np.where(rate > 0, 2 * rate, 1.0)
     var = np.where(rate > 0, -np.expm1(-two_rate * dt) / two_rate, dt)
     return decay, prob.sigma * np.sqrt(prob.noise.spectrum.eigenvalues * var)
 
 
-def _apply_step(
-    prob: BurgersProblem, coeffs: np.ndarray, dt: float, factors, draws: np.ndarray,
-    forced=slice(None),
-):
+def _apply_step(prob: BurgersProblem, coeffs: np.ndarray, dt: float, factors, draws: np.ndarray):
     """One exponential-Euler step for a batch [B, N]; ``factors`` are
-    :func:`_step_factors` at ``dt`` and draws are standard normals.
+    :func:`_step_factors` at ``dt``, with the gain [M] possibly cut to its
+    leading entries, and ``draws`` [B, M] are standard normals.
 
-    Additive noise adds gain * draws into the columns ``forced`` (all N by
-    default), with the gain [M] and the draws [B, M] given for those
-    columns only; multiplicative noise consumes a shape [B] shared scalar
-    per sample.
+    Additive noise adds gain * draws into the first M modes; multiplicative
+    noise multiplies every mode by exp(draws @ gain - |gain|^2 / 2).
     """
     decay, gain = factors
     out = skew_nonlinearity(prob, coeffs)
@@ -190,9 +187,9 @@ def _apply_step(
     out += coeffs
     out *= decay
     if isinstance(prob.noise, AdditiveNoise):
-        out[:, forced] += gain * draws
+        out[:, : gain.size] += gain * draws
     else:
-        out *= np.exp(gain * draws - 0.5 * gain**2)[:, np.newaxis]
+        out *= np.exp(draws @ gain - 0.5 * (gain @ gain))[:, np.newaxis]
     return out
 
 
@@ -207,35 +204,27 @@ def trace_block(
     contaminates other rows, and the samples that diverged are
     ``np.isnan(e2[:, -1])``.  The standard normals arrive in the time
     slices of ``RandomStream.block_chunks``, so the block never holds all
-    of them at once.  Additive noise draws, per sample and step, one normal
-    for each mode whose gain is nonzero, in mode order: [steps, M] per
-    sample for M forced modes.  Multiplicative noise draws [steps].
+    of them at once.  Each sample draws [steps, M]: one normal per step for
+    each of the M gains of :func:`_step_factors` up to its last nonzero one.
     """
     limit = dt_max(prob, prob.init_coeffs)
     if grid.dt > limit:
         raise StepSizeError(f"dt={grid.dt} exceeds the advective CFL limit {limit:.3e}")
-    factors = _step_factors(prob, grid.dt)
-    forced, shape = slice(None), (grid.steps,)
-    if isinstance(prob.noise, AdditiveNoise):
-        # An unforced mode's noise is 0 * z = 0 whatever z is, so it draws
-        # nothing.  With every mode forced, the full slice adds in place,
-        # 10% faster on the power:2 defaults than the indexed add.
-        decay, gain = factors
-        forced = np.flatnonzero(gain)
-        if forced.size == prob.n_modes:
-            forced = slice(None)
-        factors = (decay, gain[forced])
-        shape = (grid.steps, factors[1].size)
+    decay, gain = _step_factors(prob, grid.dt)
+    # The trailing zero gains force nothing (0 * z = 0 whatever z is), so
+    # their modes draw nothing; a zero gain before the last nonzero one
+    # draws, and adds 0.
+    factors = (decay, np.trim_zeros(gain, "b"))
     coeffs = np.tile(prob.init_coeffs, (stop - start, 1))
     e2 = np.empty((stop - start, grid.steps + 1))
     e2[:, 0] = np.sum(coeffs**2, axis=1)
     threshold = blowup_threshold(prob, float(np.sum(prob.init_coeffs**2)))
     dead = np.zeros(stop - start, dtype=bool)
-    chunks = stream.block_chunks(start, stop, shape)
+    chunks = stream.block_chunks(start, stop, (grid.steps, factors[1].size))
     step_draws = (z[:, j] for z in chunks for j in range(z.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, draws in enumerate(step_draws, 1):
-            coeffs = _apply_step(prob, coeffs, grid.dt, factors, draws, forced)
+            coeffs = _apply_step(prob, coeffs, grid.dt, factors, draws)
             energy = np.einsum("ij,ij->i", coeffs, coeffs)
             newly = ~dead & ((~np.isfinite(energy)) | (energy > threshold))
             if np.any(newly):

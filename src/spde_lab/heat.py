@@ -65,7 +65,7 @@ def simulate_block(
     shape of ``wave.simulate_block``.
     """
     rows = slice(None) if keep is None else grid.indices(keep)
-    draws = stream.block_chunks(start, stop, grid.steps)
+    draws = stream.block_chunks(start, stop, (grid.steps,))
     increments = (np.multiply(z, np.sqrt(grid.dt), out=z) for z in draws)
     w = np.concatenate([sums for _, sums in running_sums(increments)], axis=1)
     exponent = (

@@ -58,14 +58,14 @@ class RandomStream:
     def block_chunks(self, start: int, stop: int, shape):
         """Draws of samples [start, stop) in time slices of about ``CHUNK_BYTES``.
 
-        ``shape`` is one sample's draw shape, time axis first.  Yields
-        arrays ``[stop - start, r, *shape[1:]]`` whose r rows fill
-        ``CHUNK_BYTES`` (at least one row; fewer in the last slice), read at
-        call time.  Each sample's generator continues its stream from one
+        ``shape`` is one sample's draw shape, a tuple with the time axis
+        first.  Yields arrays ``[stop - start, r, *shape[1:]]`` whose r rows
+        fill ``CHUNK_BYTES`` (at least one row; fewer in the last slice),
+        read at call time.  Each sample's generator continues its stream from one
         slice to the next, so the slicing moves no draw.  This is the one
         place where ensembles key samples to substreams.
         """
-        steps, *rest = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+        steps, *rest = shape
         rows = max(1, CHUNK_BYTES // (8 * max(1, (stop - start) * math.prod(rest))))
         gens = [self.child(i).generator() for i in range(start, stop)]
         for r0 in range(0, max(steps, 1), rows):
@@ -251,8 +251,6 @@ def write_report_csv(report: Report, path) -> None:
 def _json_default(obj):
     if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

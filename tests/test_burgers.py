@@ -394,40 +394,56 @@ def test_trace_block_independent_of_chunk_rows(monkeypatch, make):
     assert np.array_equal(runs[0], runs[1])
 
 
-def test_trace_block_draws_only_the_forced_modes():
-    # Modes 1 and 3 (0-based) carry noise: each sample draws [steps, 2]
-    # from its own substream, and the run equals, bit for bit, full-width
-    # steps whose unforced columns draw zero.  At sigma = 0 no mode draws
-    # and the run is the noiseless recursion.
+def _full_width_e2(prob, grid, z):
+    """e2 of steps at the untrimmed gains of ``_step_factors``, with the
+    draws z [B, steps, M] in columns [0, M) of zero-filled full-width draws."""
+    factors = burgers._step_factors(prob, grid.dt)
+    coeffs = np.tile(prob.init_coeffs, (z.shape[0], 1))
+    want = [np.einsum("ij,ij->i", coeffs, coeffs)]
+    for k in range(z.shape[1]):
+        draws = np.zeros((z.shape[0], factors[1].size))
+        draws[:, : z.shape[2]] = z[:, k]
+        coeffs = burgers._apply_step(prob, coeffs, grid.dt, factors, draws)
+        want.append(np.einsum("ij,ij->i", coeffs, coeffs))
+    return np.stack(want, axis=1)
+
+
+def test_trace_block_draws_only_the_forced_modes(monkeypatch):
+    # Each sample draws [steps, M] from its own substream, one column per
+    # gain up to the last nonzero one: M = 4 for finite:0,1,0,0.5 (gains
+    # 0, g, 0, g' and four zeros), M = 1 for the shared multiplicative gain.
+    # The run equals, bit for bit, full-width steps at the untrimmed gains.
+    # At sigma = 0 nothing is drawn and the run is the noiseless recursion.
     n, steps, start, stop = 8, 30, 3, 8
     spec = CovarianceSpectrum.parse("finite:0,1,0,0.5", n)
     u0 = 0.5 * np.sin(np.arange(1.0, n + 1))
     grid = TimeGrid(1e-3, steps)
-    prob = BurgersProblem(0.1, 1.0, 0.5, AdditiveNoise(spec), u0)
-    factors = burgers._step_factors(prob, grid.dt)
-    forced = np.flatnonzero(factors[1])
-    assert forced.tolist() == [1, 3]
-    z = np.stack([RandomStream(17).child(i).generator().standard_normal((steps, forced.size))
-                  for i in range(start, stop)])
-    coeffs = np.tile(u0, (stop - start, 1))
-    want = [np.einsum("ij,ij->i", coeffs, coeffs)]
-    for k in range(steps):
-        draws = np.zeros_like(coeffs)
-        draws[:, forced] = z[:, k]
-        coeffs = burgers._apply_step(prob, coeffs, grid.dt, factors, draws)
-        want.append(np.einsum("ij,ij->i", coeffs, coeffs))
-    got = trace_block(prob, grid, RandomStream(17), start, stop)
-    assert np.array_equal(got, np.stack(want, axis=1))
+    shapes = []
+    block_chunks = RandomStream.block_chunks
 
-    still = BurgersProblem(0.1, 1.0, 0.0, AdditiveNoise(spec), u0)
-    decay = np.exp(-still.nu * still.eigenvalues * grid.dt)
-    coeffs = np.tile(u0, (stop - start, 1))
-    want = [np.einsum("ij,ij->i", coeffs, coeffs)]
-    for k in range(steps):
-        coeffs = decay * (coeffs + grid.dt * skew_nonlinearity(still, coeffs))
-        want.append(np.einsum("ij,ij->i", coeffs, coeffs))
-    got = trace_block(still, grid, RandomStream(17), start, stop)
-    assert np.array_equal(got, np.stack(want, axis=1))
+    def spy(stream, start, stop, shape):
+        shapes.append(shape)
+        return block_chunks(stream, start, stop, shape)
+
+    monkeypatch.setattr(RandomStream, "block_chunks", spy)
+    for noise, drawn in ((AdditiveNoise(spec), 4), (MultiplicativeNoise(), 1)):
+        prob = BurgersProblem(0.1, 1.0, 0.5, noise, u0)
+        z = np.stack([RandomStream(17).child(i).generator().standard_normal((steps, drawn))
+                      for i in range(start, stop)])
+        got = trace_block(prob, grid, RandomStream(17), start, stop)
+        assert shapes.pop() == (steps, drawn)
+        assert np.array_equal(got, _full_width_e2(prob, grid, z))
+
+        still = BurgersProblem(0.1, 1.0, 0.0, noise, u0)
+        decay = np.exp(-still.nu * still.eigenvalues * grid.dt)
+        coeffs = np.tile(u0, (stop - start, 1))
+        want = [np.einsum("ij,ij->i", coeffs, coeffs)]
+        for k in range(steps):
+            coeffs = decay * (coeffs + grid.dt * skew_nonlinearity(still, coeffs))
+            want.append(np.einsum("ij,ij->i", coeffs, coeffs))
+        got = trace_block(still, grid, RandomStream(17), start, stop)
+        assert shapes.pop() == (steps, 0)
+        assert np.array_equal(got, np.stack(want, axis=1))
 
 
 def test_trace_block_memory_below_its_draws():

@@ -291,6 +291,32 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     assert "no-such-flag" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [(None, "cannot read config file"), ("{samples: 20", "cannot read config file"),
+     ("[20]", "must contain a JSON object")],
+    ids=["missing", "invalid-json", "list"],
+)
+def test_unreadable_config_exits_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert run(["heat", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_write_failure_after_the_run_exits_2_naming_out(tmp_path, capsys):
+    # --out passes the check before the run, but report.csv is a directory,
+    # so the first write fails: a configuration error naming --out.
+    out = tmp_path / "o"
+    (out / "report.csv").mkdir(parents=True)
+    assert run(["wiener", "--samples", "20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "Traceback" not in err and "internal error" not in err
+
+
 def test_heat_run_outputs(tmp_path, capsys):
     out = tmp_path / "heat"
     code = run(HEAT_ARGS + ["--out", str(out)])
@@ -478,6 +504,19 @@ def test_lyapunov_example_row(tmp_path, capsys):
     assert (out / "series_lognorm.csv").exists()
 
 
+def test_lyapunov_gamma_zero_gates_the_deterministic_path(tmp_path, capsys):
+    # Without noise the path is deterministic: the row's stderr is 1e-9/3,
+    # so the gate is a 1e-9 tolerance, and the note says so.
+    out = tmp_path / "lyap"
+    assert run(["lyapunov", "--gamma", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    row = {r["label"]: r for r in _read_report(out)}["exponent_path_vs_formula"]
+    assert float(row["mc_stderr"]) == 1e-9 / 3 and row["pass"] == "True"
+    notes = json.loads((out / "summary.json").read_text())["notes"]
+    assert {"label": "exponent_path_vs_formula", "t": 100.0,
+            "note": "tolerance 1e-9 (deterministic path)"} in notes
+
+
 def test_lyapunov_shift_row_tests_the_library_identity(tmp_path, capsys, monkeypatch):
     # Here fl(fl(det + shift) - det) != shift, so comparing stoch - det with
     # the shift failed on correct code.  The row tests the library's bitwise
@@ -571,6 +610,20 @@ def test_burgers_multiplicative_run(tmp_path, capsys):
     assert "energy_vs_bound" in labels and "exit_probability" in labels
     summary = json.loads((out / "summary.json").read_text())
     assert summary["divergence-count"] == 0
+
+
+def test_burgers_length_warns_of_the_printed_trace_term(tmp_path, capsys):
+    # At l != 1 the additive bound keeps the printed sigma^2 l Tr(Q) term,
+    # and every energy_vs_bound note says so.
+    out = tmp_path / "burg"
+    code = run(["burgers", "--l", "2", "--modes", "16", "--t-final", "0.05", "--samples", "20",
+                "--out", str(out)])
+    assert code in (0, 1)
+    capsys.readouterr()
+    notes = json.loads((out / "summary.json").read_text())["notes"]
+    bound_notes = [n["note"] for n in notes if n["label"] == "energy_vs_bound"]
+    assert len(bound_notes) == 5
+    assert all("trace term sigma^2 * l * Tr(Q) as printed" in note for note in bound_notes)
 
 
 def test_burgers_divergence_exits_1_with_files(tmp_path, capsys):

@@ -54,7 +54,7 @@ def test_step_component_does_not_leak_across_samples():
     assert np.array_equal(before, after)
 
 
-@pytest.mark.parametrize("shape, empty_shape", [(5, (0, 5)), ((4, 3), (0, 4, 3))])
+@pytest.mark.parametrize("shape, empty_shape", [((5,), (0, 5)), ((4, 3), (0, 4, 3))])
 def test_block_normals_match_per_sample_draws(shape, empty_shape):
     # The slices of block_chunks, joined along time, are each sample's own
     # draws; an empty sample range still yields one slice of the block's shape.
