@@ -248,15 +248,12 @@ def energy_bound(prob: BurgersProblem, t, e2_init: float):
     if isinstance(prob.noise, AdditiveNoise):
         decay = np.exp(-2 * prob.nu * t / c)
         forcing = prob.sigma**2 * prob.length * prob.noise.spectrum.trace
-        out = e2_init * decay + c * forcing / (2 * prob.nu) * (1 - decay)
-    else:
-        out = e2_init * np.exp((prob.sigma**2 - 2 * prob.nu / c) * t)
-    return float(out) if out.ndim == 0 else out
+        return e2_init * decay + c * forcing / (2 * prob.nu) * (1 - decay)
+    return e2_init * np.exp((prob.sigma**2 - 2 * prob.nu / c) * t)
 
 
 def exit_probability_bound(prob: BurgersProblem, t, e2_init: float, delta: float):
     """Chebyshev bound on P(||u(t)|| >= delta), capped at one."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    out = np.minimum(1.0, np.asarray(energy_bound(prob, t, e2_init)) / delta**2)
-    return float(out) if out.ndim == 0 else out
+    return np.minimum(1.0, energy_bound(prob, t, e2_init) / delta**2)

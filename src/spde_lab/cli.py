@@ -238,7 +238,7 @@ def _report(cfg: dict, checks: list[Check], **metadata) -> Report:
         estimate = c.estimate
         if not isinstance(estimate, tuple):
             stats = pairwise_stats(estimate)
-            estimate = float(stats.mean), float(stats.stderr)
+            estimate = stats.mean, stats.stderr
         rows.append(compare(c.label, c.t, c.closed_form, estimate, one_sided=c.one_sided,
                             gating=c.gating, note=c.note))
     return Report(rows, {"experiment": cfg["subcommand"], "config": cfg, **metadata})
@@ -349,7 +349,7 @@ def _field_experiment(cfg, grid, prob, simulate, x_points, mean, covariance, cor
         checks.append(
             Check(
                 f"correlation_s={s:g}", t, correlation(t, s),
-                (float(corr.mean()), float(corr.std(ddof=1) / np.sqrt(len(corr)))),
+                (corr.mean(), corr.std(ddof=1) / np.sqrt(len(corr))),
                 note=f"batch-means estimate ({n_batches} batches)",
             )
         )
@@ -384,7 +384,7 @@ def _run_wiener(cfg: dict) -> tuple[Report, dict]:
     m = min(t_final, grid.times[k_s])
     closed = {"trace_identity": spec.trace, "zero_mean": 0.0}
     for i, (a, b) in enumerate(pairs, start=1):
-        closed[f"bilinear_{i}"] = m * float((spec.eigenvalues * a) @ b)
+        closed[f"bilinear_{i}"] = m * ((spec.eigenvalues * a) @ b)
     closed["kernel_identity"] = m * correlation_kernel(spec, basis, x_probe, y_probe)
     checks = [Check(lab, t_final, c, col) for (lab, c), col in zip(closed.items(), values.T)]
 
@@ -538,7 +538,7 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
     if divergence_count:
         checks.append(
             Check(
-                "divergence_count", grid.t_final, 0.0, (float(divergence_count), 0.0),
+                "divergence_count", grid.t_final, 0.0, (divergence_count, 0.0),
                 note="samples aborted at the blow-up threshold; from then on their NaN "
                 "energies fail the energy_vs_bound rows and count as exits",
             )
@@ -546,19 +546,19 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
     checkpoints = _checkpoints(grid.steps)
     checks += [
         Check(
-            "energy_vs_bound", grid.times[kk], float(bound[kk]), e2[:, kk],
+            "energy_vs_bound", grid.times[kk], bound[kk], e2[:, kk],
             one_sided=True, note=trace_note,
         )
         for kk in checkpoints
     ]
     for kk in dict.fromkeys((checkpoints[len(checkpoints) // 2], grid.steps)):
         t = grid.times[kk]
-        p_hat = float((~(e2[:, kk] < cfg["delta"] ** 2)).astype(float).mean())
-        se = float(np.sqrt(p_hat * (1 - p_hat) / len(e2)))
+        p_hat = (~(e2[:, kk] < cfg["delta"] ** 2)).astype(float).mean()
+        se = np.sqrt(p_hat * (1 - p_hat) / len(e2))
         checks.append(
             Check(
                 "exit_probability", t,
-                float(burgers.exit_probability_bound(prob, t, e2_init, cfg["delta"])),
+                burgers.exit_probability_bound(prob, t, e2_init, cfg["delta"]),
                 (p_hat, se), one_sided=True, note=f"binomial SE at delta={cfg['delta']:g}",
             )
         )

@@ -82,8 +82,7 @@ class HilbertVector:
         """Function values sum_n coeffs_n e_n(x)."""
         if basis.n_modes != len(self):
             raise ValueError("dimension mismatch")
-        out = basis.evaluate(x) @ self.coeffs
-        return float(out) if np.ndim(out) == 0 else out
+        return basis.evaluate(x) @ self.coeffs
 
     @classmethod
     def unit(cls, n_modes: int, mode: int, scale: float = 1.0) -> "HilbertVector":
@@ -156,6 +155,5 @@ def correlation_kernel(
     """Truncated spatial correlation sum_n q_n e_n(x) e_n(y)."""
     if len(spectrum) != basis.n_modes:
         raise ValueError("dimension mismatch")
-    out = np.sum(spectrum.eigenvalues * basis.evaluate(x) * basis.evaluate(y), axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.sum(spectrum.eigenvalues * basis.evaluate(x) * basis.evaluate(y), axis=-1)
 

@@ -80,7 +80,7 @@ class EnsembleStats:
     """Sample count, mean and sum of squared deviations.
 
     :func:`pairwise_stats` builds them from per-sample values.  ``mean`` and
-    ``m2`` may be scalars or arrays (elementwise statistics, e.g. one per
+    ``m2`` are numpy scalars or arrays (elementwise statistics, e.g. one per
     time-grid point); ``variance = m2 / (count - 1)``.
     """
 
@@ -138,9 +138,7 @@ def pairwise_stats(values: np.ndarray) -> EnsembleStats:
     group = max(1, CHUNK_BYTES // (8 * n))
     for c0 in range(0, cols.shape[1], group):
         mean[c0 : c0 + group], m2[c0 : c0 + group] = _merge_tree(cols[:, c0 : c0 + group].T)
-    if vals.ndim == 1:
-        return EnsembleStats(n, float(mean[0]), float(m2[0]))
-    return EnsembleStats(n, mean.reshape(vals.shape[1:]), m2.reshape(vals.shape[1:]))
+    return EnsembleStats(n, mean.reshape(vals.shape[1:])[()], m2.reshape(vals.shape[1:])[()])
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,8 @@ class ComparisonRow:
     otherwise, with infinite z); a non-finite estimate fails ("non-finite
     estimate", z NaN).  ``gating`` marks whether the row counts
     toward the run's exit status; diagnostic rows are reported but do not
-    gate.
+    gate.  Built by :func:`compare`, every numeric field is a Python
+    ``float`` and ``passed`` a ``bool``, so a report serializes as is.
     """
 
     label: str
@@ -179,8 +178,14 @@ def compare(
     note: str = "",
 ) -> ComparisonRow:
     """Compare a closed-form value against an estimate (mean, stderr),
-    applying the 3-sigma rule."""
-    mc_mean, mc_stderr = estimate
+    applying the 3-sigma rule.
+
+    This is where a report number becomes a Python value: ``t``,
+    ``closed_form`` and the estimate may be numpy scalars, and every
+    numeric field of the row is a ``float`` and ``passed`` a ``bool``.
+    """
+    t, closed_form = float(t), float(closed_form)
+    mc_mean, mc_stderr = map(float, estimate)
     if mc_stderr < 0:
         raise ValueError(f"invalid standard error {mc_stderr!r}")
     if not (math.isfinite(mc_mean) and math.isfinite(mc_stderr)):
@@ -248,12 +253,6 @@ def write_report_csv(report: Report, path) -> None:
     )
 
 
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def write_summary_json(report: Report, path) -> None:
     """Machine-readable run summary.
 
@@ -270,7 +269,7 @@ def write_summary_json(report: Report, path) -> None:
         payload["notes"] = notes
     payload["generated-at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import json
 import math
 import re
 import tracemalloc
@@ -17,6 +18,7 @@ from spde_lab.montecarlo import (
     map_blocks,
     pairwise_stats,
     write_report_csv,
+    write_summary_json,
 )
 
 
@@ -67,11 +69,11 @@ def test_block_normals_match_per_sample_draws(shape, empty_shape):
 
 
 @pytest.mark.parametrize("rows", [1, 3, 9, 14])
-@pytest.mark.parametrize("shape", [(9, 4, 2), (9, 4), (9,)])
-def test_block_chunks_concatenate_to_block_normals(monkeypatch, shape, rows):
-    # The wave, additive Burgers and multiplicative Burgers draw shapes of a
-    # 9-step grid, in slices of 1, 3, all and more than all steps: CHUNK_BYTES
-    # holds `rows` steps of 4 samples.
+@pytest.mark.parametrize("shape", [(9, 4, 2), (9, 4), (9,), (9, 1)])
+def test_block_chunks_concatenate_to_per_sample_draws(monkeypatch, shape, rows):
+    # The wave, additive Burgers, heat and multiplicative Burgers (or
+    # finite:1) draw shapes of a 9-step grid, in slices of 1, 3, all and more
+    # than all steps: CHUNK_BYTES holds `rows` steps of 4 samples.
     monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 8 * 4 * math.prod(shape[1:]) * rows)
     stream = RandomStream(13)
     chunks = list(stream.block_chunks(5, 9, shape))
@@ -275,19 +277,35 @@ def test_compare_non_finite_estimate_fails(estimate):
     assert "non-finite estimate" in row.note
 
 
-def test_report_gating_and_counts():
+def test_report_gating_and_counts(tmp_path):
+    # A row from numpy inputs (a numpy closed form, a pairwise_stats
+    # estimate) holds Python numbers like any other, so the counts are ints
+    # and the summary serializes without a conversion hook.
+    stats = pairwise_stats(np.array([0.9, 1.0, 1.1]))
     report = Report(
-        [compare("ok", 0.0, 1.0, (1.0, 0.1)), compare("diag", 0.0, 1.0, (9.0, 0.1), gating=False)]
+        [
+            compare("ok", 0.0, 1.0, (1.0, 0.1)),
+            compare("numpy", np.float64(0.5), np.float64(1.0), (stats.mean, stats.stderr)),
+            compare("diag", 0.0, 1.0, (9.0, 0.1), gating=False),
+        ]
     )
+    for row in report.rows:
+        assert all(
+            type(x) is float for x in (row.t, row.closed_form, row.mc_mean, row.mc_stderr, row.z)
+        )
+        assert type(row.passed) is bool
     assert report.all_passed()
     counts = report.counts()
     assert counts == {
-        "rows": 2,
-        "gating": 1,
-        "passed": 1,
+        "rows": 3,
+        "gating": 2,
+        "passed": 2,
         "failed": 0,
         "diagnostic_failed": 1,
     }
+    assert all(type(v) is int for v in counts.values())
+    write_summary_json(report, tmp_path / "summary.json")
+    assert json.loads((tmp_path / "summary.json").read_text())["checks"] == counts
 
 
 def test_report_csv_header(tmp_path):
