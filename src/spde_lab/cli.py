@@ -36,13 +36,14 @@ import sys
 import traceback
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from . import burgers, heat, lyapunov, wave, wiener
 from .hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector, correlation_kernel
 from .montecarlo import (
+    Check,
     RandomStream,
     Report,
     _set_blas_threads,
@@ -214,33 +215,14 @@ def _spectrum(cfg: dict) -> CovarianceSpectrum:
         raise ConfigError(f"--spectrum {cfg['spectrum']!r}: {exc}") from exc
 
 
-class Check(NamedTuple):
-    """One closed-form-vs-Monte-Carlo row of a report, declared as data.
-
-    ``estimate`` is a per-sample column (any function of the samples, such
-    as a squared deviation), reduced with :func:`pairwise_stats`, or a
-    precomputed (mean, stderr) pair.
-    """
-
-    label: str
-    t: float
-    closed_form: float
-    estimate: np.ndarray | tuple[float, float]
-    one_sided: bool = False
-    gating: bool = True
-    note: str = ""
-
-
 def _report(cfg: dict, checks: list[Check], **metadata) -> Report:
     """The run's report: one row per check, in order, and its metadata."""
     rows = []
     for c in checks:
-        estimate = c.estimate
-        if not isinstance(estimate, tuple):
-            stats = pairwise_stats(estimate)
-            estimate = stats.mean, stats.stderr
-        rows.append(compare(c.label, c.t, c.closed_form, estimate, one_sided=c.one_sided,
-                            gating=c.gating, note=c.note))
+        if not isinstance(c.estimate, tuple):
+            stats = pairwise_stats(c.estimate)
+            c = c._replace(estimate=(stats.mean, stats.stderr))
+        rows.append(compare(c))
     return Report(rows, {"experiment": cfg["subcommand"], "config": cfg, **metadata})
 
 
@@ -617,13 +599,14 @@ def run(argv=None) -> int:
         out_dir = Path(cfg["out"])
         _check_out(out_dir)
         try:
-            report, series = _EXPERIMENTS[cfg["subcommand"]](cfg)
+            with np.errstate(over="raise"):
+                report, series = _EXPERIMENTS[cfg["subcommand"]](cfg)
         except MemoryError:
             raise ConfigError("the run does not fit in memory: lower --samples, --modes "
                               "or --t-final, or raise --dt") from None
-        except OverflowError:
-            raise ConfigError("the run overflows the float range: lower the noise intensity "
-                              "(--epsilon, --sigma or --gamma)") from None
+        except (OverflowError, FloatingPointError):
+            raise ConfigError("the run overflows the float range: lower --epsilon, --sigma, "
+                              "--gamma, --c or --t-final, or raise --l") from None
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             write_report_csv(report, out_dir / "report.csv")

@@ -18,6 +18,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,25 +168,35 @@ class ComparisonRow:
     note: str = ""
 
 
-def compare(
-    label: str,
-    t: float,
-    closed_form: float,
-    estimate: tuple[float, float],
-    *,
-    one_sided: bool = False,
-    gating: bool = True,
-    note: str = "",
-) -> ComparisonRow:
-    """Compare a closed-form value against an estimate (mean, stderr),
-    applying the 3-sigma rule.
+class Check(NamedTuple):
+    """One closed-form-vs-Monte-Carlo row of a report, declared as data.
+
+    ``estimate`` is a per-sample column (any function of the samples, such
+    as a squared deviation) or a precomputed (mean, stderr) pair.
+    :func:`compare` takes a check whose estimate is a pair, so a column is
+    first reduced with :func:`pairwise_stats`.
+    """
+
+    label: str
+    t: float
+    closed_form: float
+    estimate: np.ndarray | tuple[float, float]
+    one_sided: bool = False
+    gating: bool = True
+    note: str = ""
+
+
+def compare(check: Check) -> ComparisonRow:
+    """Judge a check whose estimate is a pair (mean, stderr) by the
+    3-sigma rule.
 
     This is where a report number becomes a Python value: ``t``,
     ``closed_form`` and the estimate may be numpy scalars, and every
     numeric field of the row is a ``float`` and ``passed`` a ``bool``.
     """
-    t, closed_form = float(t), float(closed_form)
-    mc_mean, mc_stderr = map(float, estimate)
+    t, closed_form = float(check.t), float(check.closed_form)
+    mc_mean, mc_stderr = map(float, check.estimate)
+    one_sided, note = check.one_sided, check.note
     if mc_stderr < 0:
         raise ValueError(f"invalid standard error {mc_stderr!r}")
     if not (math.isfinite(mc_mean) and math.isfinite(mc_stderr)):
@@ -203,7 +214,7 @@ def compare(
         z = (mc_mean - closed_form) / mc_stderr
         passed = (z <= Z_THRESHOLD) if one_sided else (abs(z) <= Z_THRESHOLD)
     return ComparisonRow(
-        label, t, closed_form, mc_mean, mc_stderr, z, passed, one_sided, gating, note
+        check.label, t, closed_form, mc_mean, mc_stderr, z, passed, one_sided, check.gating, note
     )
 
 

@@ -258,16 +258,22 @@ def test_run_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
         ["wave", "--epsilon", "1e100", "--samples", "20"],
         ["burgers", "--sigma", "1e200", "--samples", "2", "--t-final", "0.01"],
         ["lyapunov", "--gamma", "1e200"],
+        ["wave", "--c", "1e300", "--samples", "10", "--t-final", "0.02"],
+        ["wave", "--l", "1e-300", "--samples", "10", "--t-final", "0.02"],
+        ["lyapunov", "--t-final", "1e300"],
     ],
-    ids=["heat", "wave", "burgers", "lyapunov"],
+    ids=["heat", "wave", "burgers", "lyapunov", "wave-c", "wave-l", "lyapunov-t-final"],
 )
 def test_float_overflow_exits_2(argv, tmp_path, capsys):
     # A closed form's Python-float power of the noise intensity (eps^2,
-    # eps^4, sigma^2, gamma^2) overflows: a configuration error naming the
-    # noise flags, not an internal error.
+    # eps^4, sigma^2, gamma^2) overflows, or a numpy array does (the wave's
+    # squared frequencies at an extreme --c or --l, the Lyapunov fit's
+    # squared times at an extreme --t-final): a configuration error naming
+    # the flags, not an internal error or NaN rows that fail.
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "--epsilon" in err and "--sigma" in err and "--gamma" in err
+    assert "--c" in err and "--l" in err and "--t-final" in err
     assert "Traceback" not in err and "internal error" not in err
     assert not (tmp_path / "o").exists()
 

@@ -12,6 +12,7 @@ import pytest
 import spde_lab
 from spde_lab import montecarlo
 from spde_lab.montecarlo import (
+    Check,
     RandomStream,
     Report,
     compare,
@@ -57,7 +58,7 @@ def test_step_component_does_not_leak_across_samples():
 
 
 @pytest.mark.parametrize("shape, empty_shape", [((5,), (0, 5)), ((4, 3), (0, 4, 3))])
-def test_block_normals_match_per_sample_draws(shape, empty_shape):
+def test_block_chunks_match_per_sample_draws(shape, empty_shape):
     # The slices of block_chunks, joined along time, are each sample's own
     # draws; an empty sample range still yields one slice of the block's shape.
     stream = RandomStream(11)
@@ -246,25 +247,25 @@ def test_pairwise_stats_vector_payload():
 
 def test_compare_exact_agreement():
     stats = pairwise_stats([2.0, 2.0, 2.0])
-    row = compare("label", 1.0, 2.0, (stats.mean, stats.stderr))
+    row = compare(Check("label", 1.0, 2.0, (stats.mean, stats.stderr)))
     assert row.z == 0.0 and row.passed
 
 
 def test_compare_deterministic_mismatch():
-    row = compare("label", 0.0, 1.0, (2.0, 0.0))
+    row = compare(Check("label", 0.0, 1.0, (2.0, 0.0)))
     assert not row.passed
     assert math.isinf(row.z)
     assert "deterministic mismatch" in row.note
 
 
 def test_compare_one_sided_zero_stderr_below_bound_passes():
-    row = compare("bound", 0.0, 1.0, (0.0, 0.0), one_sided=True)
+    row = compare(Check("bound", 0.0, 1.0, (0.0, 0.0), one_sided=True))
     assert row.passed
 
 
 def test_compare_one_sided_ignores_low_side():
     stats = pairwise_stats([0.0, 0.1, -0.1, 0.05])
-    row = compare("bound", 0.0, 5.0, (stats.mean, stats.stderr), one_sided=True)
+    row = compare(Check("bound", 0.0, 5.0, (stats.mean, stats.stderr), one_sided=True))
     assert row.passed and row.z < -3
 
 
@@ -272,7 +273,7 @@ def test_compare_one_sided_ignores_low_side():
 def test_compare_non_finite_estimate_fails(estimate):
     # A diverged sample's NaN reaches the estimate: the row fails, one-sided
     # or not, instead of passing or raising.
-    row = compare("bound", 0.0, 1.0, estimate, one_sided=True)
+    row = compare(Check("bound", 0.0, 1.0, estimate, one_sided=True))
     assert not row.passed and math.isnan(row.z)
     assert "non-finite estimate" in row.note
 
@@ -284,9 +285,9 @@ def test_report_gating_and_counts(tmp_path):
     stats = pairwise_stats(np.array([0.9, 1.0, 1.1]))
     report = Report(
         [
-            compare("ok", 0.0, 1.0, (1.0, 0.1)),
-            compare("numpy", np.float64(0.5), np.float64(1.0), (stats.mean, stats.stderr)),
-            compare("diag", 0.0, 1.0, (9.0, 0.1), gating=False),
+            compare(Check("ok", 0.0, 1.0, (1.0, 0.1))),
+            compare(Check("numpy", np.float64(0.5), np.float64(1.0), (stats.mean, stats.stderr))),
+            compare(Check("diag", 0.0, 1.0, (9.0, 0.1), gating=False)),
         ]
     )
     for row in report.rows:
@@ -309,7 +310,7 @@ def test_report_gating_and_counts(tmp_path):
 
 
 def test_report_csv_header(tmp_path):
-    report = Report([compare("row", 0.5, 1.0, (1.01, 0.02))])
+    report = Report([compare(Check("row", 0.5, 1.0, (1.01, 0.02)))])
     path = tmp_path / "report.csv"
     write_report_csv(report, path)
     lines = path.read_text().splitlines()

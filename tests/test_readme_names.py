@@ -1,5 +1,5 @@
 """Every dotted name of a ``spde_lab`` module that README.md quotes as code
-(``wave.simulate_block``, ``spde_lab.heat``, ``cli.Check``) must exist, so
+(``wave.simulate_block``, ``spde_lab.heat``, ``montecarlo.Check``) must exist, so
 a rename or deletion fails here instead of leaving the README stale."""
 
 import importlib
