@@ -220,16 +220,9 @@ def _report(cfg: dict, checks: list[Check], **metadata) -> Report:
     rows = []
     for c in checks:
         if not isinstance(c.estimate, tuple):
-            stats = pairwise_stats(c.estimate)
-            c = c._replace(estimate=(stats.mean, stats.stderr))
+            c = c._replace(estimate=pairwise_stats(c.estimate))
         rows.append(compare(c))
     return Report(rows, {"experiment": cfg["subcommand"], "config": cfg, **metadata})
-
-
-def _mc_columns(values, mean_name: str) -> dict:
-    """Series columns ``mean_name`` and ``mc_stderr`` of per-sample rows."""
-    stats = pairwise_stats(values)
-    return {mean_name: np.asarray(stats.mean), "mc_stderr": np.asarray(stats.stderr)}
 
 
 # --------------------------------------------------------------------------
@@ -370,10 +363,11 @@ def _run_wiener(cfg: dict) -> tuple[Report, dict]:
     closed["kernel_identity"] = m * correlation_kernel(spec, basis, x_probe, y_probe)
     checks = [Check(lab, t_final, c, col) for (lab, c), col in zip(closed.items(), values.T)]
 
+    norm2 = pairwise_stats(values[:, len(checks) :])
     series = {
         "series_norm2.csv": {
             "t": grid.times, "closed_form": spec.trace * grid.times,
-            **_mc_columns(values[:, len(checks) :], "mc_mean"),
+            "mc_mean": norm2.mean, "mc_stderr": norm2.stderr,
         }
     }
     return _report(cfg, checks), series
@@ -398,20 +392,22 @@ def _run_wave(cfg: dict) -> tuple[Report, dict]:
     )
 
     energies = values[:, -(grid.steps + 1) :]
+    energy = pairwise_stats(energies)
     e0 = wave.initial_energy(prob)
     for kk in _checkpoints(grid.steps):
-        t, e = grid.times[kk], energies[:, kk]
+        t = grid.times[kk]
         checks += [
-            Check("energy_mean_vs_E0", t, e0, e, gating=False, note=_PUMPING_NOTE),
+            Check("energy_mean_vs_E0", t, e0, (energy.mean[kk], energy.stderr[kk]),
+                  gating=False, note=_PUMPING_NOTE),
             Check(
                 "energy_variance", t, wave.energy_variance_closed_form(prob, t),
-                (e - pairwise_stats(e).mean) ** 2,
+                (energies[:, kk] - energy.mean[kk]) ** 2,
             ),
         ]
 
     series = {
         "series_energy.csv": {
-            "t": grid.times, **_mc_columns(energies, "mc_mean_energy"),
+            "t": grid.times, "mc_mean_energy": energy.mean, "mc_stderr": energy.stderr,
             "initial_energy": np.full(grid.steps + 1, e0),
             "pumped_energy": e0 + wave.mean_energy_drift(prob, grid.times),
         }
@@ -526,9 +522,10 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
             )
         )
     checkpoints = _checkpoints(grid.steps)
+    energy = pairwise_stats(e2)
     checks += [
         Check(
-            "energy_vs_bound", grid.times[kk], bound[kk], e2[:, kk],
+            "energy_vs_bound", grid.times[kk], bound[kk], (energy.mean[kk], energy.stderr[kk]),
             one_sided=True, note=trace_note,
         )
         for kk in checkpoints
@@ -547,7 +544,7 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
 
     series = {
         "series_energy.csv": {
-            "t": grid.times, **_mc_columns(e2, "mc_mean_energy"),
+            "t": grid.times, "mc_mean_energy": energy.mean, "mc_stderr": energy.stderr,
             "bound": np.asarray(bound, dtype=float),
         }
     }

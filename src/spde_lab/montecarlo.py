@@ -76,28 +76,14 @@ class RandomStream:
             yield out
 
 
-@dataclass
-class EnsembleStats:
-    """Sample count, mean and sum of squared deviations.
-
-    :func:`pairwise_stats` builds them from per-sample values.  ``mean`` and
-    ``m2`` are numpy scalars or arrays (elementwise statistics, e.g. one per
-    time-grid point); ``variance = m2 / (count - 1)``.
+class EnsembleStats(NamedTuple):
+    """Mean and standard error of per-sample values, built by
+    :func:`pairwise_stats`: numpy scalars or arrays (elementwise statistics,
+    e.g. one per time-grid point).  As a pair it is a :class:`Check` estimate.
     """
 
-    count: int
     mean: float | np.ndarray
-    m2: float | np.ndarray
-
-    @property
-    def variance(self):
-        if self.count < 2:
-            raise ValueError("variance requires at least two samples")
-        return self.m2 / (self.count - 1)
-
-    @property
-    def stderr(self):
-        return np.sqrt(self.variance / self.count)
+    stderr: float | np.ndarray
 
 
 def _merge_tree(vals: np.ndarray):
@@ -131,15 +117,20 @@ def pairwise_stats(values: np.ndarray) -> EnsembleStats:
     trailing axes; statistics are elementwise over them.  The tree runs
     along the sample axis only, so the trailing columns are reduced in
     groups of about ``CHUNK_BYTES`` and no copy of the whole input is made.
+    The standard error is sqrt(m2 / (n - 1) / n), with m2 the sum of squared
+    deviations of n >= 2 samples; fewer samples are a ValueError.
     """
     vals = np.asarray(values, dtype=float)
     n = vals.shape[0]
+    if n < 2:
+        raise ValueError("a standard error requires at least two samples")
     cols = vals.reshape(n, -1)
     mean, m2 = np.empty(cols.shape[1]), np.empty(cols.shape[1])
     group = max(1, CHUNK_BYTES // (8 * n))
     for c0 in range(0, cols.shape[1], group):
         mean[c0 : c0 + group], m2[c0 : c0 + group] = _merge_tree(cols[:, c0 : c0 + group].T)
-    return EnsembleStats(n, mean.reshape(vals.shape[1:])[()], m2.reshape(vals.shape[1:])[()])
+    stderr = np.sqrt(m2 / (n - 1) / n)
+    return EnsembleStats(mean.reshape(vals.shape[1:])[()], stderr.reshape(vals.shape[1:])[()])
 
 
 @dataclass(frozen=True)
@@ -172,9 +163,9 @@ class Check(NamedTuple):
     """One closed-form-vs-Monte-Carlo row of a report, declared as data.
 
     ``estimate`` is a per-sample column (any function of the samples, such
-    as a squared deviation) or a precomputed (mean, stderr) pair.
-    :func:`compare` takes a check whose estimate is a pair, so a column is
-    first reduced with :func:`pairwise_stats`.
+    as a squared deviation) or a precomputed (mean, stderr) pair, such as an
+    :class:`EnsembleStats`.  :func:`compare` takes a check whose estimate is
+    a pair, so a column is first reduced with :func:`pairwise_stats`.
     """
 
     label: str

@@ -331,17 +331,20 @@ def test_ensemble_worker_invariance(monkeypatch):
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 32)
     prob = _additive(nu=0.25, sigma=0.5)
     grid = TimeGrid(1e-3, 100)
-    runs = {w: _ensemble(prob, grid, 96, RandomStream(11), workers=w)[1] for w in (1, 2, 8)}
+    runs = {w: _ensemble(prob, grid, 96, RandomStream(11), workers=w) for w in (1, 2, 8)}
+    e2, want = runs[1]
     for w in (2, 8):
-        assert np.array_equal(runs[1].mean, runs[w].mean)
-        assert np.array_equal(runs[1].m2, runs[w].m2)
+        got_e2, got = runs[w]
+        assert np.array_equal(got_e2, e2, equal_nan=True)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.stderr, want.stderr)
 
 
 def test_ensemble_bytes_independent_of_blas_threads():
     # At 64 modes, the ragged last block (116 of 244 samples) of
     # trace_block gives other last bits on two BLAS threads than on one,
-    # and at this amplitude they reach m2; map_blocks runs every block on
-    # one thread, in-process or pooled.
+    # and at this amplitude they reach e2 and its statistics; map_blocks runs
+    # every block on one thread, in-process or pooled.
     calls = montecarlo._openblas()
     if calls is None:
         pytest.skip("numpy's bundled OpenBLAS was not found")
@@ -352,13 +355,14 @@ def test_ensemble_bytes_independent_of_blas_threads():
     run = partial(_ensemble, prob, grid, 244, RandomStream(11))
     before = montecarlo._set_blas_threads(1)
     try:
-        _, want = run()
+        want_e2, want = run()
         montecarlo._set_blas_threads(2)
         for workers in (1, 2):
-            _, got = run(workers=workers)
+            got_e2, got = run(workers=workers)
             assert get() == 2
+            assert np.array_equal(got_e2, want_e2, equal_nan=True)
             assert np.array_equal(got.mean, want.mean)
-            assert np.array_equal(got.m2, want.m2)
+            assert np.array_equal(got.stderr, want.stderr)
     finally:
         montecarlo._set_blas_threads(before)
 

@@ -223,18 +223,20 @@ def test_gaussian_moments_fixed_seed():
 def test_large_sample_variance_regression():
     draws = RandomStream(99).generator().standard_normal(1_000_000)
     stats = pairwise_stats(draws)
-    assert abs(stats.variance - 1.0) < 0.01
+    assert abs(stats.stderr**2 * draws.size - 1.0) < 0.01
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1001])
 def test_pairwise_stats_matches_numpy(n):
     rng = np.random.default_rng(n)
     vals = rng.standard_normal(n) * 3 + 1
+    if n < 2:
+        with pytest.raises(ValueError, match="two samples"):
+            pairwise_stats(vals)
+        return
     stats = pairwise_stats(vals)
-    assert stats.count == n
     assert stats.mean == pytest.approx(vals.mean(), rel=1e-12)
-    if n >= 2:
-        assert stats.variance == pytest.approx(vals.var(ddof=1), rel=1e-10)
+    assert stats.stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-10)
 
 
 def test_pairwise_stats_vector_payload():
@@ -242,7 +244,7 @@ def test_pairwise_stats_vector_payload():
     vals = rng.standard_normal((501, 4))
     stats = pairwise_stats(vals)
     np.testing.assert_allclose(stats.mean, vals.mean(axis=0), rtol=1e-12)
-    np.testing.assert_allclose(stats.variance, vals.var(axis=0, ddof=1), rtol=1e-10)
+    np.testing.assert_allclose(stats.stderr, vals.std(axis=0, ddof=1) / math.sqrt(501), rtol=1e-10)
 
 
 def test_compare_exact_agreement():
@@ -322,10 +324,15 @@ def _block_identity(start, stop):
     return np.arange(start, stop, dtype=float)[:, np.newaxis] ** 2
 
 
-def test_pairwise_stats_reduces_columns_without_copying_the_input():
+def test_pairwise_stats_reduces_columns_without_copying_the_input(monkeypatch):
     # A non-contiguous [10000, 401] view, the shape of a wave run's energy
-    # columns, equals its column-by-column reduction.
+    # columns, reduced in 58 column groups of 7 (the last one ragged, of 2),
+    # equals its column-by-column reduction bit for bit.  Every third entry
+    # of the next-to-last column is NaN, as a diverged Burgers sample's
+    # energies are: that column alone reads NaN.
     values = np.random.default_rng(5).standard_normal((10000, 414))[:, 13:]
+    values[::3, -2] = np.nan
+    monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 8 * len(values) * 7)
     tracemalloc.start()
     try:
         stats = pairwise_stats(values)
@@ -334,8 +341,10 @@ def test_pairwise_stats_reduces_columns_without_copying_the_input():
         tracemalloc.stop()
     assert peak <= 0.25 * values.nbytes
     columns = [pairwise_stats(values[:, j]) for j in range(values.shape[1])]
-    assert np.array_equal(stats.mean, [c.mean for c in columns])
-    assert np.array_equal(stats.m2, [c.m2 for c in columns])
+    assert np.array_equal(stats.mean, [c.mean for c in columns], equal_nan=True)
+    assert np.array_equal(stats.stderr, [c.stderr for c in columns], equal_nan=True)
+    for got in (stats.mean, stats.stderr):
+        assert np.isnan(got[-2]) and np.isfinite(np.delete(got, -2)).all()
 
 
 def test_map_blocks_order_and_block_invariance(monkeypatch):
@@ -368,7 +377,7 @@ def test_map_blocks_worker_invariance_bitwise(monkeypatch):
     assert np.array_equal(vals[1], vals[8])
     stats = pairwise_stats(vals[1])
     again = pairwise_stats(vals[8])
-    assert np.array_equal(stats.mean, again.mean) and np.array_equal(stats.m2, again.m2)
+    assert np.array_equal(stats.mean, again.mean) and np.array_equal(stats.stderr, again.stderr)
 
 
 def _sample_values(start, stop):

@@ -193,10 +193,11 @@ def test_ito_integral_mean_zero():
 
 def test_scalar_ito_isometry():
     # E [int_0^T sin(pi s) dW_n]^2 = int_0^T sin^2(pi s) ds (quadrature oracle).
+    # One mode: the isometry reads mode 1 alone, so no other mode is drawn.
     grid = TimeGrid(1e-3, 1000)
-    spec = CovarianceSpectrum([1.0] + [0.0] * (N_MODES - 1))
-    inc = sample_increments_block(spec, BASIS, grid, RandomStream(41), 0, 10_000)
-    integrals = np.sum(np.sin(np.pi * grid.times[:-1])[:, np.newaxis] * inc[:, :, :1], axis=1)
+    spec = CovarianceSpectrum([1.0])
+    inc = sample_increments_block(spec, DirichletBasis(1.0, 1), grid, RandomStream(41), 0, 10_000)
+    integrals = np.sum(np.sin(np.pi * grid.times[:-1])[:, np.newaxis] * inc, axis=1)
     oracle, _ = quad(lambda s: np.sin(np.pi * s) ** 2, 0.0, 1.0)
     stats = pairwise_stats(integrals[:, 0] ** 2)
     assert abs(stats.mean - oracle) <= 3 * stats.stderr
