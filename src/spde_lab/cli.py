@@ -22,9 +22,16 @@ The environment variable ``SPDE_LAB_SEED`` is parsed as a ``--seed`` flag
 placed before the file's, so the seed comes from the flag, then the file,
 then the environment, then 0.
 
-Given the same configuration and seed, the data CSVs are byte-identical
-for any ``--workers`` value; ``summary.json`` embeds the wall-clock time
-only in its ``generated-at`` field.
+Without ``--workers`` (or with a config file's ``null``), a command-line
+run of at least ``_POOL_WORK`` samples x steps x modes uses the CPUs this
+process may use, capped at its sample blocks; a smaller run stays in this
+process, where a pool's start-up would cost more than it saves, and so
+does a :func:`run` given its ``argv`` by a calling program.
+``config.json`` and the config in ``summary.json`` echo the count the run
+used, so a large default run's echo depends on the machine.  Given the same
+configuration and seed, the data CSVs are byte-identical for any
+``--workers`` value; ``summary.json`` embeds the wall-clock time only in
+its ``generated-at`` field.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ import numpy as np
 from . import burgers, heat, lyapunov, wave, wiener
 from .hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector, correlation_kernel
 from .montecarlo import (
+    BLOCK_SIZE,
     Check,
     RandomStream,
     Report,
@@ -90,10 +98,18 @@ def _noise(text: str) -> str:
     return text
 
 
+# The samples x steps x modes from which an unset --workers pools the run.
+# Measured on 2 CPUs, wiener and wave runs break even in wall time between
+# 3 and 5 x 10^6 and gain 20-37% from 6.4 x 10^6; the pool's start-up costs
+# about 0.1 s of CPU, some 10% of a run of 10^7.
+_POOL_WORK = 10_000_000
+
 # Every flag's argparse type, which is its domain, and its help text.
 _FLAGS: dict[str, tuple[Callable[[str], object], str]] = {
     "seed": (_number(int, 0), "master seed (fallback: SPDE_LAB_SEED, then 0)"),
-    "workers": (_number(int, 1), "worker processes for ensemble sharding"),
+    "workers": (_number(int, 1), "worker processes for ensemble sharding (default: the CPUs "
+                "this process may use, capped at the sample blocks, once samples x steps x "
+                f"modes reaches {_POOL_WORK:,}; else 1)"),
     "out": (str, "output directory (default runs/<subcommand>)"),
     "config": (str, "JSON config file with flag-name keys"),
     "spectrum": (str, "covariance spectrum, e.g. power:2, exp:0.5, finite:1,0.5"),
@@ -134,7 +150,7 @@ _DEFAULTS: dict[str, dict[str, object]] = {
                 "noise": "additive", "init-mode": 1, "init-amp": 0.5, "poincare-c": None,
                 "delta": 1.0, "dt": 1e-3, "t-final": 2.0, "samples": 500},
 }
-_COMMON = {"seed": 0, "workers": 1, "out": None, "config": None}
+_COMMON = {"seed": 0, "workers": None, "out": None, "config": None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,10 +186,11 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     ]
 
 
-def _resolve_config(argv: list[str]) -> dict:
+def _resolve_config(argv: list[str], cpus: int = 1) -> dict:
     """Parse the flags; ``SPDE_LAB_SEED`` and then a config file's entries
     are parsed as flags placed before them, so an explicit flag overrides
-    the file and the file overrides the environment."""
+    the file and the file overrides the environment.  An unset
+    ``--workers`` resolves by :func:`_workers` over ``cpus``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     env = os.environ.get("SPDE_LAB_SEED")
@@ -182,7 +199,32 @@ def _resolve_config(argv: list[str]) -> dict:
         front += _config_flags(args)
     resolved = vars(parser.parse_args(argv[:1] + front + argv[1:]))
     del resolved["config"]
+    resolved["workers"] = _workers(resolved, cpus)
     return resolved
+
+
+def _workers(cfg: dict, cpus: int) -> int:
+    """``--workers`` if set; else ``cpus``, capped at the sample blocks, for
+    a run of at least ``_POOL_WORK`` samples x steps x modes, and 1 for a
+    smaller run or one without samples (lyapunov)."""
+    if cfg["workers"] is not None:
+        return cfg["workers"]
+    if "samples" not in cfg:
+        return 1
+    # Capped before the float product, which an int beyond the float range
+    # would overflow; a valid grid has at least one step.
+    work = min(cfg["samples"] * cfg["modes"], _POOL_WORK) * (cfg["t-final"] / cfg["dt"])
+    if work < _POOL_WORK:
+        return 1
+    return min(cpus, -(-cfg["samples"] // BLOCK_SIZE))
+
+
+def _cpus() -> int:
+    """The CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _grid(cfg: dict) -> wiener.TimeGrid:
@@ -590,9 +632,19 @@ def _check_out(out_dir: Path) -> None:
 
 
 def run(argv=None) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment; returns the process exit code.
+
+    ``argv`` defaults to this process's command line, and only that run
+    lets an unset ``--workers`` take this process's CPUs.  A program that
+    passes ``argv`` runs the experiment inside itself, and its patches,
+    tracers and threads need not survive pickling or a fork, so the run
+    stays in its process unless the flags ask for workers.
+    """
     try:
-        cfg = _resolve_config(sys.argv[1:] if argv is None else list(argv))
+        if argv is None:
+            cfg = _resolve_config(sys.argv[1:], _cpus())
+        else:
+            cfg = _resolve_config(list(argv))
         out_dir = Path(cfg["out"])
         _check_out(out_dir)
         try:

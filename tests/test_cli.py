@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import csv
 import json
 import math
@@ -407,6 +408,104 @@ def test_config_null_means_unset(tmp_path, capsys):
     assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
 
 
+def _resolved_workers(*argv) -> int:
+    """The worker count of a command-line run of ``argv``."""
+    return cli._resolve_config(list(argv), cli._cpus())["workers"]
+
+
+def _sized_wave(samples, modes=1, *extra):
+    """A wave run of ``samples`` x 1 step x ``modes``, as flags."""
+    return ["wave", "--samples", str(samples), "--modes", str(modes), "--dt", "1",
+            "--t-final", "1", *extra]
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, cpus",
+    [({0, 1, 2}, None, 3), (None, lambda: 3, 3), (None, lambda: None, 1)],
+    ids=["affinity", "cpu_count", "unknown"],
+)
+def test_default_workers_pool_large_runs_only(monkeypatch, affinity, cpu_count, cpus):
+    # On the command line, an unset --workers is the CPUs this process may
+    # use (its affinity, or os.cpu_count where the affinity call is
+    # missing), capped at the sample blocks, from _POOL_WORK samples x steps
+    # x modes on; serial below it, and in a run given its argv by a program.
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", cpu_count)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    work = cli._POOL_WORK
+    assert _resolved_workers(*_sized_wave(work)) == cpus
+    assert _resolved_workers(*_sized_wave(work - 1)) == 1
+    assert cli._resolve_config(_sized_wave(work))["workers"] == 1
+    assert _resolved_workers(*_sized_wave(200, work)) == min(cpus, 2)  # two 128-sample blocks
+    assert _resolved_workers("lyapunov", "--t-final", "1e6") == 1  # one path, no samples
+    # An explicit count is kept, below the CPUs or above them.
+    assert _resolved_workers(*_sized_wave(work, 1, "--workers", "1")) == 1
+    assert _resolved_workers(*_sized_wave(200, work, "--workers", "3")) == 3
+    assert _resolved_workers(*_sized_wave(2, 1, "--workers", "3")) == 3
+
+
+def test_config_file_workers(tmp_path, monkeypatch):
+    # A config file's "workers": null resolves like no entry; a count is kept.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = tmp_path / "cfg.json"
+    for workers, expected in [(None, 2), (1, 1), (3, 3)]:
+        cfg.write_text(json.dumps({"workers": workers, "samples": cli._POOL_WORK, "modes": 1,
+                                   "dt": 1, "t-final": 1}))
+        assert _resolved_workers("wave", "--config", str(cfg)) == expected, workers
+    assert _resolved_workers("wave", "--config", str(cfg), "--workers", "1") == 1
+
+
+class _RecordingPool:
+    """A stand-in ``ProcessPoolExecutor`` that records its worker count and maps
+    in this process, so no worker starts."""
+
+    calls: list = []
+
+    def __init__(self, **kwargs):
+        self.calls.append(kwargs["max_workers"])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_default_workers_reach_the_pool_and_the_echo(tmp_path, capsys, monkeypatch):
+    # A command-line run over the threshold (lowered here, so the run stays
+    # small) pools at the resolved count, config.json and summary.json echo
+    # it, and replaying config.json, passing --workers 1 or passing the argv
+    # to run() writes the same data; the last two start no pool.
+    monkeypatch.setattr(cli, "_POOL_WORK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    argv = ["wave", "--modes", "4", "--dt", "0.05", "--t-final", "0.5", "--samples", "300",
+            "--seed", "3"]
+    outs = [tmp_path / name for name in "abcd"]
+    monkeypatch.setattr(sys, "argv", ["spde-lab", *argv, "--out", str(outs[0])])
+    assert run() == 0
+    assert _RecordingPool.calls == [3]  # 300 samples are three blocks
+    assert json.loads((outs[0] / "config.json").read_text())["workers"] == 3
+    assert json.loads((outs[0] / "summary.json").read_text())["config"]["workers"] == 3
+    assert run(["wave", "--config", str(outs[0] / "config.json"), "--out", str(outs[1])]) == 0
+    assert _RecordingPool.calls == [3, 3]
+    assert run(argv + ["--workers", "1", "--out", str(outs[2])]) == 0
+    assert run(argv + ["--out", str(outs[3])]) == 0
+    assert _RecordingPool.calls == [3, 3]
+    assert json.loads((outs[3] / "config.json").read_text())["workers"] == 1
+    capsys.readouterr()
+    names = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert names == ["report.csv", "series_energy.csv"]
+    for name in names:
+        assert len({(out / name).read_bytes() for out in outs}) == 1, name
+
+
 @pytest.mark.parametrize(
     "entry",
     [{"samples": [3]}, {"samples": 2.5}, {"seed": True}, {"epsilon": math.inf}, {"samples": 1},
@@ -780,6 +879,7 @@ _IMPORT_PROBE = """
 import json, sys
 from spde_lab import cli
 out, workers = sys.argv[1:]
+flags = ["--workers", workers] if workers else []
 runs = [
     ["wave", "--modes", "4", "--dt", "0.05", "--t-final", "0.5", "--samples", "300"],
     ["heat", "--samples", "300"],
@@ -787,10 +887,10 @@ runs = [
     ["lyapunov", "--t-final", "5"],
     ["burgers", "--modes", "8", "--dt", "0.001", "--t-final", "0.05", "--samples", "300"],
 ]
-codes = [
-    cli.run([*argv, "--workers", workers, "--seed", "3", "--out", f"{out}/{i}"])
-    for i, argv in enumerate(runs)
-]
+codes = []
+for i, argv in enumerate(runs):  # as command lines, where a default may pool
+    sys.argv = ["spde-lab", *argv, *flags, "--seed", "3", "--out", f"{out}/{i}"]
+    codes.append(cli.run())
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("concurrent.futures")]
 print(json.dumps({"codes": codes, "loaded": sorted(loaded)}))
 """
@@ -828,13 +928,14 @@ def test_main_keeps_one_blas_thread_after_a_pooled_run(tmp_path):
     assert result["threads"] == 1, result
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [None, 1, 2])
 def test_cli_runs_without_scipy_or_an_idle_pool(tmp_path, workers):
     # scipy is a test dependency only, and a serial run never imports the
-    # process pool: both would cost every CLI call start-up time.
+    # process pool: both would cost every CLI call start-up time.  Without
+    # --workers (None) these small runs stay below cli._POOL_WORK, so serial.
     env = dict(os.environ, PYTHONPATH=str(Path(spde_lab.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), str(workers)],
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), str(workers or "")],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     result = json.loads(done.stdout.splitlines()[-1])
@@ -842,7 +943,7 @@ def test_cli_runs_without_scipy_or_an_idle_pool(tmp_path, workers):
     assert all(code in (0, 1) for code in result["codes"]), result["codes"]
     assert not any(m.split(".")[0] == "scipy" for m in result["loaded"]), result["loaded"]
     # The sampled runs have 300 samples, three blocks: --workers 2 starts a pool.
-    assert ("concurrent.futures" in result["loaded"]) == (workers > 1), result["loaded"]
+    assert ("concurrent.futures" in result["loaded"]) == (workers == 2), result["loaded"]
 
 
 def test_closed_stdout_keeps_the_verdict(tmp_path):

@@ -2,7 +2,9 @@
 
 A mutant is a ``monkeypatch`` of one name in the package; no mutant edits a
 file.  Each runs through ``cli.run`` at seeds 0-4 at a small config and
-must exit 1 in at least a declared number of the five runs.  The
+must exit 1 in at least a declared number of the five runs.  Every run
+passes ``--workers 1``: a patch in this process reaches a forked worker but
+not a spawned one, and the default start method may not fork.  The
 unmutated runs at the same configs and seeds are the gate's false alarms
 and may exit 1 in at most a declared number.  Every run's bytes are
 deterministic, so on the pinned build (see ``tests/test_pins.py``) the
@@ -57,7 +59,10 @@ BURGERS = ["burgers", "--modes", "16", "--t-final", "0.5", "--samples", "200"]
 
 
 def _exit_ones(argv, tmp_path, capsys) -> int:
-    codes = [cli.run(argv + ["--seed", str(s), "--out", str(tmp_path / str(s))]) for s in range(5)]
+    codes = [
+        cli.run(argv + ["--workers", "1", "--seed", str(s), "--out", str(tmp_path / str(s))])
+        for s in range(5)
+    ]
     capsys.readouterr()
     assert set(codes) <= {0, 1}
     return sum(codes)
