@@ -7,6 +7,13 @@ status is 0 when every gating comparison passes, 1 on a statistical
 failure, 2 on a usage or configuration error and 3 on an internal error:
 any other exception, traceback on stderr; a closed stdout keeps the status.
 
+A per-step series (the wave and Burgers energies, wiener's ||W_t||^2) is
+reduced inside the sample block that computes it: a block returns the
+per-sample columns that rows read and the moments of its series, which
+:func:`map_blocks` merges.  Only a column that needs the ensemble mean or
+single samples stays per sample: the checkpoint energies of the wave's
+``energy_variance`` rows and Burgers' exit and divergence rows.
+
 Flags are long-form kebab-case, each declared once in ``_FLAGS``: its
 argparse type is its domain (a finite number, a lower bound), so a value
 outside it exits 2 with argparse's message naming the flag.  A
@@ -55,6 +62,7 @@ from .montecarlo import (
     RandomStream,
     Report,
     _set_blas_threads,
+    block_moments,
     compare,
     map_blocks,
     pairwise_stats,
@@ -275,7 +283,8 @@ def _report(cfg: dict, checks: list[Check], **metadata) -> Report:
 def _wiener_block(spec, basis, grid, pairs, k_s, stream, start, stop):
     """Per-sample wiener summaries: ||W_T||^2 / T, <W_T, a> with a the unit
     vector of equal entries, then <W_T, a><W_s, b> for each pair (a, b) with
-    s the time of grid index ``k_s``, then ||W_t||^2 at every grid time.
+    s the time of grid index ``k_s``; and the moments of ||W_t||^2 at every
+    grid time.
 
     The increments arrive in the time slices of ``RandomStream.block_chunks``,
     so the block keeps only the norms and the coefficients at s and T.
@@ -294,26 +303,34 @@ def _wiener_block(spec, basis, grid, pairs, k_s, stream, start, stop):
     final = kept[grid.steps]
     cols = [norm2[:, -1:] / grid.t_final, final @ np.full((n, 1), 1.0 / np.sqrt(n))]
     cols += [((final @ a) * (kept[k_s] @ b))[:, np.newaxis] for a, b in pairs]
-    return np.concatenate(cols + [norm2], axis=1)
+    return np.concatenate(cols, axis=1), block_moments(norm2)
 
 
 def _field_block(simulate, prob, grid, basis_vals, means, pairs, stream, start, stop):
     """Per-sample field summaries: the field at the x points at the final
     step, the L2 cross deviation sum_n dev_a,n dev_b,n (dev: u less its
-    mean) of each checkpoint pair (a, b), then the further columns of
-    ``simulate``.
+    mean) of each checkpoint pair (a, b), then the series of ``simulate``
+    at the checkpoints; and the moments of that series at every step.
 
-    ``simulate`` is ``wave.simulate_block`` (energies at every step) or
-    ``heat.simulate_block`` (none): with ``keep`` it returns u at the
-    checkpoints only.  ``means`` maps each checkpoint index to its mean
+    ``simulate`` is ``wave.simulate_block`` (the energy series) or
+    ``heat.simulate_block`` (an empty one): with ``keep`` it returns u at
+    the checkpoints only.  ``means`` maps each checkpoint index to its mean
     coefficients; the last checkpoint is the final step.
     """
     keep = sorted(means)
-    u, extra = simulate(prob, grid, stream, start, stop, keep)
+    u, series = simulate(prob, grid, stream, start, stop, keep)
     devs = {k: u[:, j, :] - means[k] for j, k in enumerate(keep)}
     cols = [u[:, -1, :] @ basis_vals.T]
     cols += [np.sum(devs[a] * devs[b], axis=1)[:, np.newaxis] for a, b in pairs]
-    return np.concatenate(cols + [extra], axis=1)
+    cols += [series[:, keep]] if series.shape[1] else []
+    return np.concatenate(cols, axis=1), block_moments(series)
+
+
+def _burgers_block(prob, grid, keep, stream, start, stop):
+    """Per-sample Burgers energies e2 at the grid indices ``keep``, and the
+    moments of e2 at every step."""
+    e2 = burgers.trace_block(prob, grid, stream, start, stop)
+    return e2[:, keep], block_moments(e2)
 
 
 def _field_plan(grid: wiener.TimeGrid, mean):
@@ -331,11 +348,12 @@ def _field_plan(grid: wiener.TimeGrid, mean):
 
 
 def _field_experiment(cfg, grid, prob, simulate, x_points, mean, covariance, correlation=None):
-    """Per-sample :func:`_field_block` values of a wave or heat field and
-    their checks: ``mean_x*`` at the final time, then per pair of
-    :func:`_field_plan` a row with closed form ``covariance(t, s)``, labelled
-    ``variance`` if s = t, else ``covariance_s=*`` followed by
-    ``correlation_s=*`` when ``correlation`` is given.  A correlation is a
+    """Per-sample :func:`_field_block` values of a wave or heat field, the
+    moments of its series, and its checks: ``mean_x*`` at the final time,
+    then per pair of :func:`_field_plan` a row with closed form
+    ``covariance(t, s)``, labelled ``variance`` if s = t, else
+    ``covariance_s=*`` followed by ``correlation_s=*`` when ``correlation``
+    is given.  A correlation is a
     ratio of means, so its estimate comes from fixed-count batch means of the
     pair's column and the two variance columns, not one pairwise reduction.
     """
@@ -343,7 +361,7 @@ def _field_experiment(cfg, grid, prob, simulate, x_points, mean, covariance, cor
     basis_vals = prob.basis.evaluate(np.asarray(x_points))
     stream = RandomStream(cfg["seed"]).child(0)
     fn = partial(_field_block, simulate, prob, grid, basis_vals, means, pairs, stream)
-    values = map_blocks(fn, cfg["samples"], workers=cfg["workers"])
+    values, moments = map_blocks(fn, cfg["samples"], workers=cfg["workers"])
 
     mean_final = mean(grid.t_final)
     checks = [
@@ -370,7 +388,7 @@ def _field_experiment(cfg, grid, prob, simulate, x_points, mean, covariance, cor
                 note=f"batch-means estimate ({n_batches} batches)",
             )
         )
-    return values, checks
+    return values, moments, checks
 
 
 # --------------------------------------------------------------------------
@@ -395,7 +413,7 @@ def _run_wiener(cfg: dict) -> tuple[Report, dict]:
     k_s = max(1, grid.steps // 2)
 
     fn = partial(_wiener_block, spec, basis, grid, pairs + [probe], k_s, stream.child(0))
-    values = map_blocks(fn, cfg["samples"], workers=cfg["workers"])
+    values, moments = map_blocks(fn, cfg["samples"], workers=cfg["workers"])
 
     t_final = grid.t_final
     m = min(t_final, grid.times[k_s])
@@ -405,7 +423,7 @@ def _run_wiener(cfg: dict) -> tuple[Report, dict]:
     closed["kernel_identity"] = m * correlation_kernel(spec, basis, x_probe, y_probe)
     checks = [Check(lab, t_final, c, col) for (lab, c), col in zip(closed.items(), values.T)]
 
-    norm2 = pairwise_stats(values[:, len(checks) :])
+    norm2 = moments.stats()
     series = {
         "series_norm2.csv": {
             "t": grid.times, "closed_form": spec.trace * grid.times,
@@ -428,22 +446,23 @@ def _run_wave(cfg: dict) -> tuple[Report, dict]:
     prob = wave.WaveProblem.from_initial_conditions(
         f, g, wave_speed=cfg["c"], length=cfg["l"], epsilon=cfg["epsilon"], spectrum=_spectrum(cfg)
     )
-    values, checks = _field_experiment(
+    values, moments, checks = _field_experiment(
         cfg, grid, prob, wave.simulate_block, [i * cfg["l"] / 6 for i in range(1, 6)],
         partial(wave.mean_coefficients, prob), partial(wave.covariance_closed_form, prob),
     )
 
-    energies = values[:, -(grid.steps + 1) :]
-    energy = pairwise_stats(energies)
+    checkpoints = _checkpoints(grid.steps)
+    energies = values[:, -len(checkpoints) :]
+    energy = moments.stats()
     e0 = wave.initial_energy(prob)
-    for kk in _checkpoints(grid.steps):
+    for j, kk in enumerate(checkpoints):
         t = grid.times[kk]
         checks += [
             Check("energy_mean_vs_E0", t, e0, (energy.mean[kk], energy.stderr[kk]),
                   gating=False, note=_PUMPING_NOTE),
             Check(
                 "energy_variance", t, wave.energy_variance_closed_form(prob, t),
-                (energies[:, kk] - energy.mean[kk]) ** 2,
+                (energies[:, j] - energy.mean[kk]) ** 2,
             ),
         ]
 
@@ -465,7 +484,7 @@ def _run_heat(cfg: dict) -> tuple[Report, dict]:
     if not all(heat.variance_closed_form(prob, t) > 0 for t in grid.times[_checkpoints(grid.steps)]):
         raise ConfigError("heat's correlation rows need a nonzero variance at every checkpoint: "
                           "check --epsilon, --init-mode and --t-final")
-    _, checks = _field_experiment(
+    *_, checks = _field_experiment(
         cfg, grid, prob, heat.simulate_block, [0.25, 0.5, 0.75],
         *(partial(fn, prob) for fn in (
             heat.mean_closed_form, heat.covariance_closed_form, heat.correlation_closed_form
@@ -538,9 +557,12 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
         raise ConfigError(f"--poincare-c {cfg['poincare-c']:g}: {exc}") from exc
     if not np.isfinite(cfg["delta"] * cfg["delta"]):  # the exit rows compare e2 with delta^2
         raise ConfigError(f"--delta {cfg['delta']:g}: its square overflows the float range")
-    fn = partial(burgers.trace_block, prob, grid, RandomStream(cfg["seed"]).child(0))
+    checkpoints = _checkpoints(grid.steps)
+    # The exit rows' times, the last the final one: their energies are kept per sample.
+    exits = list(dict.fromkeys((checkpoints[len(checkpoints) // 2], grid.steps)))
+    fn = partial(_burgers_block, prob, grid, exits, RandomStream(cfg["seed"]).child(0))
     try:
-        e2 = map_blocks(fn, cfg["samples"], workers=cfg["workers"])
+        e2, moments = map_blocks(fn, cfg["samples"], workers=cfg["workers"])
     except burgers.StepSizeError as exc:
         raise ConfigError(f"--dt {cfg['dt']:g}: {exc}") from exc
     divergence_count = int(np.sum(np.isnan(e2[:, -1])))
@@ -563,8 +585,7 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
                 "energies fail the energy_vs_bound rows and count as exits",
             )
         )
-    checkpoints = _checkpoints(grid.steps)
-    energy = pairwise_stats(e2)
+    energy = moments.stats()
     checks += [
         Check(
             "energy_vs_bound", grid.times[kk], bound[kk], (energy.mean[kk], energy.stderr[kk]),
@@ -572,9 +593,9 @@ def _run_burgers(cfg: dict) -> tuple[Report, dict]:
         )
         for kk in checkpoints
     ]
-    for kk in dict.fromkeys((checkpoints[len(checkpoints) // 2], grid.steps)):
+    for j, kk in enumerate(exits):
         t = grid.times[kk]
-        p_hat = (~(e2[:, kk] < cfg["delta"] ** 2)).astype(float).mean()
+        p_hat = (~(e2[:, j] < cfg["delta"] ** 2)).astype(float).mean()
         se = np.sqrt(p_hat * (1 - p_hat) / len(e2))
         checks.append(
             Check(

@@ -25,7 +25,7 @@ import numpy as np
 Z_THRESHOLD = 3.0
 
 # Bytes of one time slice of a block's draws (RandomStream.block_chunks) and
-# of one column group of pairwise_stats: bounded by this, not by the ensemble.
+# of one column group of a moments merge: bounded by this, not by the ensemble.
 CHUNK_BYTES = 1 << 20
 
 # Samples per block of map_blocks.  The block layout, and so every output
@@ -78,19 +78,37 @@ class RandomStream:
 
 class EnsembleStats(NamedTuple):
     """Mean and standard error of per-sample values, built by
-    :func:`pairwise_stats`: numpy scalars or arrays (elementwise statistics,
-    e.g. one per time-grid point).  As a pair it is a :class:`Check` estimate.
+    :func:`pairwise_stats` or :meth:`Moments.stats`: numpy scalars or arrays
+    (elementwise statistics, e.g. one per time-grid point).  As a pair it is
+    a :class:`Check` estimate.
     """
 
     mean: float | np.ndarray
     stderr: float | np.ndarray
 
 
-def _merge_tree(vals: np.ndarray):
-    """Pairwise merge of per-sample values [g, n] into (mean [g], m2 [g])."""
-    count = np.ones(vals.shape[-1])
-    mean = vals.copy()
-    m2 = np.zeros_like(mean)
+class Moments(NamedTuple):
+    """Sample count ``n``, mean and m2 (the sum of squared deviations from
+    the mean) of per-sample values, elementwise over their trailing axes:
+    what :func:`block_moments` keeps of a block and :func:`map_blocks`
+    merges across blocks."""
+
+    n: int
+    mean: np.ndarray
+    m2: np.ndarray
+
+    def stats(self) -> EnsembleStats:
+        """Mean and standard error sqrt(m2 / (n - 1) / n); fewer than two
+        samples are a ValueError."""
+        if self.n < 2:
+            raise ValueError("a standard error requires at least two samples")
+        stderr = np.sqrt(self.m2 / (self.n - 1) / self.n)
+        return EnsembleStats(self.mean[()], stderr[()])
+
+
+def _merge_tree(count: np.ndarray, mean: np.ndarray, m2: np.ndarray):
+    """Pairwise merge of partial moments along the last axis: counts [k],
+    means and m2s [g, k] into (mean [g], m2 [g])."""
     while mean.shape[-1] > 1:
         k = mean.shape[-1] // 2
         na, nb = count[0 : 2 * k : 2], count[1 : 2 * k : 2]
@@ -109,28 +127,51 @@ def _merge_tree(vals: np.ndarray):
     return mean[:, 0], m2[:, 0]
 
 
+def _merge(count: np.ndarray, means: np.ndarray, m2s: np.ndarray) -> Moments:
+    """Merge k partials (counts [k], means and m2s [k, ...]) on the
+    canonical pairwise tree.
+
+    The tree runs along the first axis only, so the trailing columns are
+    merged in groups of about ``CHUNK_BYTES`` and no copy of the whole
+    input is made.
+    """
+    k, shape = len(count), means.shape[1:]
+    means, m2s = means.reshape(k, -1), m2s.reshape(k, -1)
+    mean, m2 = np.empty(means.shape[1]), np.empty(means.shape[1])
+    group = max(1, CHUNK_BYTES // (8 * k))
+    for c0 in range(0, means.shape[1], group):
+        cols = slice(c0, c0 + group)
+        mean[cols], m2[cols] = _merge_tree(count, means[:, cols].T.copy(), m2s[:, cols].T.copy())
+    return Moments(int(count.sum()), mean.reshape(shape), m2.reshape(shape))
+
+
+def block_moments(values: np.ndarray) -> Moments:
+    """Moments of per-sample values (axis 0, at least one sample), merged
+    on the canonical pairwise tree, whose shape depends only on the number
+    of samples.
+
+    In that tree the node at level L covering samples [i 2^L, ...) is the
+    same whatever follows it, so the moments of the ``BLOCK_SIZE`` (a power
+    of two) blocks of an ensemble, merged by :func:`map_blocks`, equal the
+    moments of the whole ensemble bit for bit.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.shape[0] < 1:
+        raise ValueError("moments require at least one sample")
+    # A single sample's m2 is 0: a broadcast zero, which takes no memory.
+    return _merge(np.ones(vals.shape[0]), vals, np.broadcast_to(0.0, vals.shape))
+
+
 def pairwise_stats(values: np.ndarray) -> EnsembleStats:
     """Reduce per-sample values (axis 0) with the canonical pairwise merge.
 
     The merge tree depends only on the number of samples, so the result is
     bit-identical however the samples were computed.  Values may have extra
-    trailing axes; statistics are elementwise over them.  The tree runs
-    along the sample axis only, so the trailing columns are reduced in
-    groups of about ``CHUNK_BYTES`` and no copy of the whole input is made.
-    The standard error is sqrt(m2 / (n - 1) / n), with m2 the sum of squared
-    deviations of n >= 2 samples; fewer samples are a ValueError.
+    trailing axes; statistics are elementwise over them.  The standard
+    error is sqrt(m2 / (n - 1) / n), with m2 the sum of squared deviations
+    of n >= 2 samples; fewer samples are a ValueError.
     """
-    vals = np.asarray(values, dtype=float)
-    n = vals.shape[0]
-    if n < 2:
-        raise ValueError("a standard error requires at least two samples")
-    cols = vals.reshape(n, -1)
-    mean, m2 = np.empty(cols.shape[1]), np.empty(cols.shape[1])
-    group = max(1, CHUNK_BYTES // (8 * n))
-    for c0 in range(0, cols.shape[1], group):
-        mean[c0 : c0 + group], m2[c0 : c0 + group] = _merge_tree(cols[:, c0 : c0 + group].T)
-    stderr = np.sqrt(m2 / (n - 1) / n)
-    return EnsembleStats(mean.reshape(vals.shape[1:])[()], stderr.reshape(vals.shape[1:])[()])
+    return block_moments(values).stats()
 
 
 @dataclass(frozen=True)
@@ -333,15 +374,20 @@ def _one_blas_thread():
             _set_blas_threads(before)
 
 
-def map_blocks(fn, n_samples: int, *, workers: int = 1) -> np.ndarray:
+def map_blocks(fn, n_samples: int, *, workers: int = 1) -> tuple[np.ndarray, Moments]:
     """Evaluate ``fn(start, stop)`` over canonical sample blocks.
 
     Blocks are consecutive index ranges of ``BLOCK_SIZE`` samples; the
     layout depends only on ``n_samples``, never on ``workers``, so the
     assembled output is identical for any worker count.  ``fn`` must be
-    picklable when ``workers > 1`` and returns one array with the sample
-    axis first.  Each block's array is written into one preallocated
-    ``[n_samples, ...]`` array, of the first block's dtype, as it arrives.
+    picklable when ``workers > 1`` and returns a pair: the block's rows, one
+    array with the sample axis first, and the :func:`block_moments` of its
+    series, the per-sample values that only their mean and standard error
+    are read from.  Each block's rows are written into one preallocated
+    ``[n_samples, ...]`` array, of the first block's dtype, as they arrive,
+    and the blocks' moments are merged on the pairwise tree into the
+    moments of all samples, bit for bit those of the whole series.  So a
+    series costs O(blocks x series length) here, not O(samples x length).
 
     Every block runs on one BLAS thread, in this process or in each of at
     most ``min(workers, blocks)`` worker processes: the bits of a matrix
@@ -363,11 +409,15 @@ def map_blocks(fn, n_samples: int, *, workers: int = 1) -> np.ndarray:
         )
     else:
         executor = nullcontext()
-    out = None
+    rows, moments = None, []
     with _one_blas_thread(), executor as pool:
         parts = (pool.map if pool else map)(fn, starts, stops)
-        for a, b, part in zip(starts, stops, parts):
-            if out is None:
-                out = np.empty((n_samples, *part.shape[1:]), part.dtype)
-            out[a:b] = part
-    return out
+        for a, b, (part, part_moments) in zip(starts, stops, parts):
+            if rows is None:
+                rows = np.empty((n_samples, *part.shape[1:]), part.dtype)
+            rows[a:b] = part
+            moments.append(part_moments)
+    return rows, _merge(
+        np.array([m.n for m in moments], dtype=float),
+        np.stack([m.mean for m in moments]), np.stack([m.m2 for m in moments]),
+    )

@@ -19,7 +19,7 @@ from spde_lab.burgers import (
     trace_block,
 )
 from spde_lab.hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector
-from spde_lab.montecarlo import RandomStream, map_blocks, pairwise_stats
+from spde_lab.montecarlo import RandomStream, block_moments, map_blocks
 from spde_lab.wiener import TimeGrid
 
 N = 32
@@ -36,10 +36,17 @@ def _multiplicative(nu=0.5, sigma=1.0, amp=0.5):
     return BurgersProblem(nu, 1.0, sigma, MultiplicativeNoise(), u0)
 
 
+def _traced_block(prob, grid, stream, start, stop):
+    """A block's energy traces and their moments, the pair map_blocks takes."""
+    e2 = trace_block(prob, grid, stream, start, stop)
+    return e2, block_moments(e2)
+
+
 def _ensemble(prob, grid, samples, stream, workers=1):
-    """Energy traces of an ensemble, as the CLI runs it, and their statistics."""
-    e2 = map_blocks(partial(trace_block, prob, grid, stream), samples, workers=workers)
-    return e2, pairwise_stats(e2)
+    """Energy traces of an ensemble and their statistics, reduced as the CLI
+    reduces them: per block, then merged."""
+    e2, moments = map_blocks(partial(_traced_block, prob, grid, stream), samples, workers=workers)
+    return e2, moments.stats()
 
 
 def test_problem_validation():

@@ -17,7 +17,7 @@ import spde_lab
 from spde_lab import cli, heat, lyapunov, montecarlo, wave, wiener
 from spde_lab.cli import run
 from spde_lab.hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector
-from spde_lab.montecarlo import RandomStream
+from spde_lab.montecarlo import RandomStream, block_moments
 from spde_lab.wiener import TimeGrid
 
 HEAT_ARGS = [
@@ -844,12 +844,31 @@ def test_block_memory_within_stated_bound(kernel):
     fn = _kernels(n, TimeGrid(0.001, steps))[kernel]
     tracemalloc.start()
     try:
-        values = fn(RandomStream(3), 0, batch)
+        values, moments = fn(RandomStream(3), 0, batch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert values.shape[0] == batch
+    assert values.shape[0] == moments.n == batch
     assert peak <= 24 << 20
+
+
+@pytest.mark.parametrize("subcommand", ["wave", "burgers"])
+def test_long_run_holds_no_samples_by_steps_array(tmp_path, capsys, subcommand):
+    # Each block reduces its energy series to moments, so a series costs
+    # O(blocks x steps) in the run: a 1024-sample, 2000-step run peaks below
+    # one [samples, steps+1] float64 array (15.6 MiB).  A run that held the
+    # series per sample would peak at about 1.4 (Burgers) to 1.7 (wave) of them.
+    samples, steps = 1024, 2000
+    tracemalloc.start()
+    try:
+        code = run([subcommand, "--modes", "4", "--dt", "0.001", "--t-final", "2",
+                    "--samples", str(samples), "--workers", "1", "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code in (0, 1)
+    assert peak < samples * (steps + 1) * 8
 
 
 @pytest.mark.parametrize("rows", [1, 3, 7, 40])
@@ -862,14 +881,16 @@ def test_wiener_block_independent_of_chunk_rows(monkeypatch, rows):
     fn = _wiener_kernel(n, grid)
     spec, basis, _, pairs, k_s = fn.args
     monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 8 * batch * n * rows)
-    got = fn(RandomStream(14), 3, 3 + batch)
+    got, moments = fn(RandomStream(14), 3, 3 + batch)
     inc = wiener.sample_increments_block(spec, basis, grid, RandomStream(14), 3, 3 + batch)
     paths = np.concatenate([np.zeros((batch, 1, n)), np.cumsum(inc, axis=1)], axis=1)
     coeff = np.sqrt(spec.eigenvalues) * paths
     norm2 = np.sum(coeff**2, axis=2)
     cols = [norm2[:, -1:] / grid.t_final, coeff[:, -1, :] @ np.full((n, 1), 1 / np.sqrt(n))]
     cols += [((coeff[:, -1] @ a) * (coeff[:, k_s] @ b))[:, np.newaxis] for a, b in pairs]
-    assert np.array_equal(got, np.concatenate(cols + [norm2], axis=1))
+    assert np.array_equal(got, np.concatenate(cols, axis=1))
+    want = block_moments(norm2)
+    assert np.array_equal(moments.mean, want.mean) and np.array_equal(moments.m2, want.m2)
 
 
 # Runs every subcommand through cli.run in a fresh interpreter (this test

@@ -9,7 +9,9 @@ import pytest
 
 from spde_lab import burgers, heat, lyapunov, wave
 from spde_lab.hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector, correlation_kernel
-from spde_lab.montecarlo import Check, compare, map_blocks, pairwise_stats, write_series_csv
+from spde_lab.montecarlo import (
+    Check, block_moments, compare, map_blocks, pairwise_stats, write_series_csv,
+)
 
 SPECTRUM = CovarianceSpectrum(np.ones(2))
 WAVE = wave.WaveProblem(1.0, 1.0, 1.0, SPECTRUM, np.ones(2), np.zeros(2))
@@ -42,6 +44,7 @@ CASES = {
     "lyapunov-init": (lambda: lyapunov.LyapunovProblem(0.0, 0.0, 1.0, np.ones(0)),
                       "nonempty vector"),
     "ensemble-variance": (lambda: pairwise_stats(np.ones(1)), "two samples"),
+    "block-moments-samples": (lambda: block_moments(np.ones((0, 2))), "one sample"),
     "compare-stderr": (lambda: compare(Check("row", 0.0, 1.0, (1.0, -0.1))),
                        "invalid standard error"),
     "series-lengths": (lambda: write_series_csv("unused.csv", {"t": [0.0, 1.0], "x": [0.0]}),

@@ -4,10 +4,13 @@ import json
 import math
 import re
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spde_lab
 from spde_lab import montecarlo
@@ -15,6 +18,7 @@ from spde_lab.montecarlo import (
     Check,
     RandomStream,
     Report,
+    block_moments,
     compare,
     map_blocks,
     pairwise_stats,
@@ -321,7 +325,8 @@ def test_report_csv_header(tmp_path):
 
 
 def _block_identity(start, stop):
-    return np.arange(start, stop, dtype=float)[:, np.newaxis] ** 2
+    rows = np.arange(start, stop, dtype=float)[:, np.newaxis] ** 2
+    return rows, block_moments(rows)
 
 
 def test_pairwise_stats_reduces_columns_without_copying_the_input(monkeypatch):
@@ -347,44 +352,92 @@ def test_pairwise_stats_reduces_columns_without_copying_the_input(monkeypatch):
         assert np.isnan(got[-2]) and np.isfinite(np.delete(got, -2)).all()
 
 
+def _slice_block(values, start, stop):
+    rows = values[start:stop]
+    return rows, block_moments(rows)
+
+
+def test_block_size_is_a_power_of_two():
+    # Block i is then node i at level log2(BLOCK_SIZE) of the canonical merge
+    # tree, so merging the blocks' moments continues that tree exactly.
+    size = montecarlo.BLOCK_SIZE
+    assert size > 0 and size & (size - 1) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=montecarlo.BLOCK_SIZE + 1, cols=2, seed=0, nans=[1])
+@example(n=1100, cols=1, seed=1, nans=[])
+@given(
+    n=st.one_of(
+        st.integers(2, 1100), st.integers(1, 8).map(lambda k: k * montecarlo.BLOCK_SIZE + 1)
+    ),
+    cols=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    nans=st.lists(st.integers(0, 10**6), max_size=3),
+)
+def test_merged_block_moments_equal_pairwise_stats(n, cols, seed, nans):
+    # n of 2 to 1,100 samples, some with a last block of one sample and
+    # some with NaN entries: the merged moments of map_blocks' blocks give
+    # pairwise_stats' mean and standard error of the whole ensemble bit for
+    # bit, NaN where a column holds one.
+    values = np.random.default_rng(seed).standard_normal((n, cols)) * 10 + 3
+    for k in nans:
+        values[k % n, k % cols] = np.nan
+    rows, moments = map_blocks(partial(_slice_block, values), n)
+    assert moments.n == n and np.array_equal(rows, values, equal_nan=True)
+    got, want = moments.stats(), pairwise_stats(values)
+    assert np.array_equal(got.mean, want.mean, equal_nan=True)
+    assert np.array_equal(got.stderr, want.stderr, equal_nan=True)
+
+
 def test_map_blocks_order_and_block_invariance(monkeypatch):
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 64)
-    out = map_blocks(_block_identity, 300)
+    out, moments = map_blocks(_block_identity, 300)
     np.testing.assert_array_equal(out[:, 0], np.arange(300.0) ** 2)
-    out_workers = map_blocks(_block_identity, 300, workers=4)
+    out_workers, moments_workers = map_blocks(_block_identity, 300, workers=4)
     np.testing.assert_array_equal(out, out_workers)
+    assert moments.n == moments_workers.n == 300
+    assert np.array_equal(moments.mean, moments_workers.mean)
+    assert np.array_equal(moments.m2, moments_workers.m2)
 
 
 def _block_flags(start, stop):
-    return np.arange(start, stop) % 3
+    rows = np.arange(start, stop) % 3
+    return rows, block_moments(rows)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_map_blocks_matches_concatenated_blocks(monkeypatch, workers):
     # 300 samples in blocks of 64 end in a ragged block of 44; a float and
-    # an int kernel each fill one array of their own dtype.
+    # an int kernel each fill one array of their own dtype, and the merged
+    # block moments are those of all the rows bit for bit.
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 64)
     for block in (_block_identity, _block_flags):
-        want = np.concatenate([block(a, min(a + 64, 300)) for a in range(0, 300, 64)])
-        got = map_blocks(block, 300, workers=workers)
+        want = np.concatenate([block(a, min(a + 64, 300))[0] for a in range(0, 300, 64)])
+        got, moments = map_blocks(block, 300, workers=workers)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+        whole = block_moments(want)
+        assert moments.n == whole.n == 300
+        assert np.array_equal(moments.mean, whole.mean) and np.array_equal(moments.m2, whole.m2)
 
 
 def test_map_blocks_worker_invariance_bitwise(monkeypatch):
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 32)
-    vals = {w: map_blocks(_sample_values, 200, workers=w) for w in (1, 2, 8)}
-    assert np.array_equal(vals[1], vals[2])
-    assert np.array_equal(vals[1], vals[8])
-    stats = pairwise_stats(vals[1])
-    again = pairwise_stats(vals[8])
+    runs = {w: map_blocks(_sample_values, 200, workers=w) for w in (1, 2, 8)}
+    for w in (2, 8):
+        assert np.array_equal(runs[w][0], runs[1][0])
+    stats, again = runs[1][1].stats(), runs[8][1].stats()
     assert np.array_equal(stats.mean, again.mean) and np.array_equal(stats.stderr, again.stderr)
+    whole = pairwise_stats(runs[1][0])
+    assert np.array_equal(stats.mean, whole.mean) and np.array_equal(stats.stderr, whole.stderr)
 
 
 def _sample_values(start, stop):
     stream = RandomStream(17)
-    return np.stack(
+    rows = np.stack(
         [stream.child(i).generator().standard_normal(3) for i in range(start, stop)]
     )
+    return rows, block_moments(rows)
 
 
 @pytest.mark.parametrize("samples, workers, pool_size", [(96, 8, None), (300, 8, 5), (300, 2, 2)])
@@ -409,7 +462,7 @@ def test_map_blocks_caps_pool_at_blocks(monkeypatch, samples, workers, pool_size
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 128 if samples == 96 else 64)
-    out = map_blocks(_block_identity, samples, workers=workers)
+    out, _ = map_blocks(_block_identity, samples, workers=workers)
     assert np.array_equal(out[:, 0], np.arange(samples, dtype=float) ** 2)
     if pool_size is None:
         assert calls == []
@@ -424,13 +477,14 @@ def test_blas_thread_policy_is_noop_without_the_library(monkeypatch):
     monkeypatch.setattr(montecarlo, "_openblas", lambda: None)
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 64)
     assert montecarlo._set_blas_threads(1) is None
-    out = map_blocks(_block_identity, 300)
+    out, _ = map_blocks(_block_identity, 300)
     assert np.array_equal(out[:, 0], np.arange(300.0) ** 2)
 
 
 def _blas_threads_block(start, stop):
     get, _ = montecarlo._openblas()
-    return np.full(stop - start, get())
+    rows = np.full(stop - start, get())
+    return rows, block_moments(rows)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -440,7 +494,7 @@ def test_map_blocks_runs_blocks_on_one_blas_thread(monkeypatch, workers):
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 64)
     before = montecarlo._set_blas_threads(2)
     try:
-        counts = map_blocks(_blas_threads_block, 300, workers=workers)
+        counts, _ = map_blocks(_blas_threads_block, 300, workers=workers)
         assert np.all(counts == 1)
         assert montecarlo._openblas()[0]() == 2
     finally:

@@ -53,6 +53,7 @@ def test_tracer_finds_every_traced_name(monkeypatch, tmp_path):
 
     reached = {name for name, _ in calls}
     assert sorted(set(traced) - reached) == sorted(UNREACHED)
-    # One reduction per ensemble column: a series and its rows share theirs.
+    # One reduction per row column; a series is reduced in its blocks, whose
+    # moments map_blocks merges, so it takes no pairwise_stats call.
     pairwise = {sub: calls["cli.pairwise_stats", sub] for sub in RUNS}
-    assert pairwise == {"wave": 19, "burgers": 1, "heat": 11, "wiener": 7, "lyapunov": 0}
+    assert pairwise == {"wave": 18, "burgers": 0, "heat": 11, "wiener": 6, "lyapunov": 0}
