@@ -39,6 +39,15 @@ used, so a large default run's echo depends on the machine.  Given the same
 configuration and seed, the data CSVs are byte-identical for any
 ``--workers`` value; ``summary.json`` embeds the wall-clock time only in
 its ``generated-at`` field.
+
+A CLI process loads numpy's OpenBLAS at one thread: imported before numpy,
+this module sets ``OPENBLAS_NUM_THREADS=1``, overriding an inherited value,
+so OpenBLAS's thread server, which spins idle for about 0.07 s of CPU per
+process on a 2-vCPU x86-64 host, never starts, and pool workers inherit
+the setting.  The CLI makes no threaded
+BLAS call, and its data do not depend on that variable.  A program that
+imports numpy first keeps its thread count until :func:`main` or
+:func:`map_blocks` sets one.
 """
 
 from __future__ import annotations
@@ -51,6 +60,9 @@ import traceback
 from functools import partial
 from pathlib import Path
 from typing import Callable
+
+if "numpy" not in sys.modules:  # OpenBLAS reads it once, as numpy loads
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -710,8 +722,10 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    # The CLI makes no threaded BLAS call: at one thread from the start, no
-    # pooled map_blocks restarts OpenBLAS's thread server when it restores.
+    # The CLI makes no threaded BLAS call.  Imported before numpy, this
+    # module loaded OpenBLAS at one thread already; after it, this sets one,
+    # so no pooled map_blocks restarts OpenBLAS's thread server when it
+    # restores the count.
     _set_blas_threads(1)
     sys.exit(run())
 

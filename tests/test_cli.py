@@ -917,34 +917,115 @@ print(json.dumps({"codes": codes, "loaded": sorted(loaded)}))
 """
 
 
-# Runs spde-lab's entry point on the given argv in a fresh interpreter and
-# prints its exit code and numpy's BLAS thread count afterwards.
-_MAIN_PROBE = """
+def _fresh_env(**values):
+    """This process's environment without the BLAS thread variables, plus
+    ``values``, with ``src`` on the path."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return dict(env, PYTHONPATH=str(Path(spde_lab.__file__).parents[1]), **values)
+
+
+def _probe(code, *argv, env):
+    """Run ``code`` in a fresh interpreter; the JSON on its last stdout line."""
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# Imports the package, then resolves its re-exports: each one's module and
+# whether it is that module's own object.
+_INIT_PROBE = """
 import json, sys
-from spde_lab import cli, montecarlo
+import spde_lab
+numpy_loaded = "numpy" in sys.modules
+from spde_lab import CovarianceSpectrum, HilbertVector, RandomStream, TimeGrid  # as in README.md
+owners = {name: getattr(spde_lab, name).__module__ for name in spde_lab.__all__}
+own = [getattr(spde_lab, name) is vars(sys.modules[owner])[name] for name, owner in owners.items()]
+own += [obj is vars(sys.modules[obj.__module__])[obj.__name__]
+        for obj in (CovarianceSpectrum, HilbertVector, RandomStream, TimeGrid)]
+try:
+    spde_lab.NoSuchName
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps({"numpy": numpy_loaded, "owners": owners, "own": all(own), "unknown": unknown}))
+"""
+
+
+def test_package_init_loads_no_numpy():
+    # runpy imports spde_lab before the first line of cli.py, so the package
+    # must not load numpy for cli to choose OpenBLAS's thread count.
+    result = _probe(_INIT_PROBE, env=_fresh_env())
+    assert result["numpy"] is False
+    assert result["owners"] == {
+        "CovarianceSpectrum": "spde_lab.hilbert", "DirichletBasis": "spde_lab.hilbert",
+        "HilbertVector": "spde_lab.hilbert", "EnsembleStats": "spde_lab.montecarlo",
+        "RandomStream": "spde_lab.montecarlo", "TimeGrid": "spde_lab.wiener",
+    }
+    assert result["own"] is True
+    assert result["unknown"] == "AttributeError"
+
+
+# What the spde-lab console script runs before main(): numpy's BLAS thread
+# count and this process's threads once the CLI has loaded.
+_LOAD_PROBE = """
+import json
+from spde_lab.cli import main
+from spde_lab import montecarlo
+status = open("/proc/self/status").read()
+threads = int(status.split("Threads:")[1].split()[0])
+print(json.dumps({"blas": montecarlo._openblas()[0](), "threads": threads}))
+"""
+
+
+@pytest.mark.parametrize("inherited", [None, "2"])
+def test_cli_loads_openblas_at_one_thread(inherited):
+    # cli sets OPENBLAS_NUM_THREADS=1 before numpy loads OpenBLAS, over an
+    # inherited value, so OpenBLAS's thread server never starts.
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc to count this process's threads")
+    if montecarlo._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    env = _fresh_env() if inherited is None else _fresh_env(OPENBLAS_NUM_THREADS=inherited)
+    assert _probe(_LOAD_PROBE, env=env) == {"blas": 1, "threads": 1}
+
+
+# Loads numpy before the CLI, as a calling program may, then runs spde-lab's
+# entry point on the given argv: the BLAS thread count before and after
+# importing cli, whether that import left os.environ alone, the exit code
+# and the thread count after main().
+_MAIN_PROBE = """
+import json, os, sys
+import numpy
+from spde_lab import montecarlo
+get = montecarlo._openblas()[0]
+env, loaded = dict(os.environ), get()
+from spde_lab import cli
+imported, env_kept = get(), dict(os.environ) == env
 sys.argv = ["spde-lab", *sys.argv[1:]]
 try:
     cli.main()
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "threads": montecarlo._openblas()[0]()}))
+print(json.dumps({"loaded": loaded, "imported": imported, "env_kept": env_kept,
+                  "code": code, "threads": get()}))
 """
 
 
 def test_main_keeps_one_blas_thread_after_a_pooled_run(tmp_path):
-    # main sets one BLAS thread before the run, so map_blocks has no thread
-    # count to restore after its pool, and OpenBLAS's thread server is not
-    # restarted.
+    # Imported after numpy, cli changes neither the environment nor the
+    # thread count; main sets one BLAS thread before the run, so map_blocks
+    # has no thread count to restore after its pool, and OpenBLAS's thread
+    # server is not restarted.
     if montecarlo._openblas() is None:
         pytest.skip("numpy's BLAS offers no thread-count call")
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(spde_lab.__file__).parents[1])
     argv = ["heat", "--samples", "300", "--workers", "2", "--seed", "3", "--out", str(tmp_path)]
-    done = subprocess.run(
-        [sys.executable, "-c", _MAIN_PROBE, *argv],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
-    result = json.loads(done.stdout.splitlines()[-1])
+    result = _probe(_MAIN_PROBE, *argv, env=_fresh_env(OPENBLAS_NUM_THREADS="2"))
+    if result["loaded"] != 2:
+        pytest.skip("OpenBLAS caps its thread count at this host's single CPU")
+    assert result["imported"] == 2, result
+    assert result["env_kept"] is True, result
     assert result["code"] in (0, 1), result
     assert result["threads"] == 1, result
 
