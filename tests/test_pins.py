@@ -1,7 +1,7 @@
 """Byte pins of the data files each subcommand writes.
 
 Each case runs one subcommand in-process at a small fixed config and seed
-and compares the SHA-256 of ``report.csv`` and of every ``series_*.csv``
+(``SEED`` unless the case names its own) and compares the SHA-256 of ``report.csv`` and of every ``series_*.csv``
 with the digest recorded here.  ``summary.json`` is pinned too, without its
 ``generated-at`` line and with the output directory echoed in its config
 replaced by a fixed name: that pin covers the notes, the check counts,
@@ -31,6 +31,10 @@ from spde_lab import cli
 
 SEED = 7
 
+# 2^64 + 5: a master seed of three 32-bit words, so a keying error that shows
+# only for seeds wider than one word moves a pinned byte.
+WIDE_SEED = 2**64 + 5
+
 PINS = {
     "wave": (
         ["wave", "--modes", "4", "--c", "1.3", "--l", "0.7", "--g-mode", "2",
@@ -47,11 +51,25 @@ PINS = {
             "series_mean_norm.csv": "8b59697714cc2292c0c28696b8254622ae1a82314e680de29fd73dfa5333c76e",
         },
     ),
+    "heat-wide-seed": (
+        ["heat", "--samples", "300", "--seed", str(WIDE_SEED)],
+        {
+            "report.csv": "b389dd179056d4ca246957db8c5dd6e0fbb6b855754bd9517b909ee34fb8f089",
+            "series_mean_norm.csv": "8b59697714cc2292c0c28696b8254622ae1a82314e680de29fd73dfa5333c76e",
+        },
+    ),
     "wiener": (
         ["wiener", "--modes", "8", "--samples", "300"],
         {
             "report.csv": "f4ab6fcf6ce35182a4d437e42d900c1d207131c4e34f6b9b324966190e286772",
             "series_norm2.csv": "871694eaa1edc5d4483dd4f8c78010939fb3631a289fe51fe64e9d4f4ba5b4a1",
+        },
+    ),
+    "wiener-wide-seed": (
+        ["wiener", "--modes", "8", "--samples", "300", "--seed", str(WIDE_SEED)],
+        {
+            "report.csv": "c0832b0761c6514d85a6d354dc4b7c957a5d8557ec3105a9f39bc9c5727eb0b9",
+            "series_norm2.csv": "594f5c5b82af822241b4788915a47a84d7f8cdf8ca3b68d7e1fac9bbf63f277b",
         },
     ),
     "lyapunov": (
@@ -84,9 +102,11 @@ SUMMARY_PINS = {
     "burgers-additive": "777b04d6ae47b09c2bfe53c0d6e70c02822088a8df3825a55427fa973d055cce",
     "burgers-multiplicative": "e8147d95957a68b2d00f0066e696fffa6204d08f2df435325722f79bacb1a0db",
     "heat": "69fc1fc59a6a62e65119b9e4c647d5dbc6a2bc5c2b59b9a95ada4d4563737089",
+    "heat-wide-seed": "6790d8fbc484512fbdb5b5a3456c4d0b80e429e726599e32973f3f9d7bc5171f",
     "lyapunov": "cdfb1d132902bd79ed91c3ded86719a174f4b603e15657a12d5ff5a3335ef989",
     "wave": "140de70bfb1a7f54189139468d6f74e44cbcc9c3ff21bb21222e2a988813f958",
     "wiener": "3d9dd4774f020bedde3f4fb72354b7ce2a50d4ebae674b93be8d5fe493f235ee",
+    "wiener-wide-seed": "f6c4103bb04573ffa3181c4deff33623f01fb07e328f4b84186369111d8f7d23",
 }
 
 
@@ -102,7 +122,8 @@ def summary_digest(path, out_dir) -> str:
 @pytest.mark.parametrize("case", sorted(PINS))
 def test_data_files_match_pins(case, tmp_path):
     argv, digests = PINS[case]
-    code = cli.run(argv + ["--seed", str(SEED), "--out", str(tmp_path)])
+    seed = [] if "--seed" in argv else ["--seed", str(SEED)]
+    code = cli.run(argv + seed + ["--out", str(tmp_path)])
     assert code in (0, 1), f"{case}: exit code {code}"
     written = {p.name for p in tmp_path.glob("series_*.csv")} | {"report.csv"}
     assert written == set(digests), f"{case}: wrote {sorted(written)}"
