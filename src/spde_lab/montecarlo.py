@@ -4,7 +4,10 @@ closed-form-vs-Monte-Carlo comparison reports.
 Every stochastic experiment in this package draws its randomness through a
 :class:`RandomStream`, a value-like hierarchical key.  Ensembles are keyed
 by sample index (never by worker id), so any statistic is bit-identical no
-matter how samples are sharded across processes.
+matter how samples are sharded across processes.  Each key seeds a Philox
+generator through numpy's ``SeedSequence``; a block of samples derives its
+Philox keys in one vectorized pass of the same algorithm, bit for bit the
+keys ``SeedSequence`` gives one sample at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 Z_THRESHOLD = 3.0
 
@@ -31,6 +35,105 @@ CHUNK_BYTES = 1 << 20
 # Samples per block of map_blocks.  The block layout, and so every output
 # bit, depends on it and the sample count alone.
 BLOCK_SIZE = 128
+
+# numpy's SeedSequence: pool size, hash and mix multipliers
+# (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, ``[0]`` for 0, as
+    ``SeedSequence`` reads an entropy or spawn-key integer."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """A column of ``count`` successive hash constants init * mult^k mod 2^32."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s hashmix, one call per row of the result: the k-th
+    row hashes its value with consts k (xor) and k + 1 (multiply)."""
+    v = (values ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def _seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
+    """Philox keys [n, 2] (uint64) of n assembled entropy columns [L, n]
+    (uint32, L >= the pool size): ``SeedSequence``'s pool mixing and
+    ``generate_state(2, np.uint64)``, run on whole rows.  The hash constants
+    advance independently of the data, so all columns share them; the words
+    are uint32 arrays, which wrap where the C code wraps (numpy scalars would
+    trap under ``np.errstate(over="raise")``)."""
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy) + 1)
+    pool = _hashmix(entropy[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + _POOL_SIZE]))
+        k += _POOL_SIZE - 1
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, consts[k : k + _POOL_SIZE + 1]))
+        k += _POOL_SIZE
+    state = _hashmix(pool, _hash_consts(_INIT_B, _MULT_B, _POOL_SIZE + 1)).astype(np.uint64)
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def _philox_keys(master_seed: int, path: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """Philox keys [stop - start, 2] of samples [start, stop) under ``path``:
+    row i - start equals ``SeedSequence(master_seed, spawn_key=path + (i,))
+    .generate_state(2, np.uint64)`` bit for bit.
+
+    The entropy is the master seed's words, zero-padded to the pool size
+    (as ``SeedSequence`` pads it before a spawn key), then the words of the
+    path and of the sample index.  An index of one more word is one more
+    entropy row, so each run of indices of equal width is keyed on its own.
+    """
+    seed = _words(master_seed)
+    prefix = seed + [0] * (_POOL_SIZE - len(seed)) + [w for i in path for w in _words(i)]
+    keys = [np.empty((0, 2), dtype=np.uint64)]
+    lo = start
+    while lo < stop:
+        width = len(_words(lo))
+        hi = min(stop, 1 << (32 * width))
+        index = np.arange(lo, hi, dtype=np.uint64)
+        entropy = np.empty((len(prefix) + width, hi - lo), dtype=np.uint32)
+        entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+        for j in range(width):
+            entropy[len(prefix) + j] = index >> (32 * j) & _MASK32
+        keys.append(_seed_sequence_keys(entropy))
+        lo = hi
+    return np.concatenate(keys)
+
+
+class _PhiloxKey(ISeedSequence):
+    """A Philox key handed to ``np.random.Philox`` as the seed sequence it
+    asks for its key, so no ``SeedSequence`` is built (``Philox(key=...)``
+    would still build one from OS entropy)."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
 
 
 @dataclass(frozen=True)
@@ -46,15 +149,24 @@ class RandomStream:
 
     master_seed: int
     path: tuple[int, ...] = ()
+    # The Philox key of (master_seed, path) when block_chunks derived it;
+    # None means generator() derives it.  Not part of the stream's value.
+    _key: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def child(self, *indices: int) -> "RandomStream":
         """Substream for the given extra path indices."""
         return RandomStream(self.master_seed, self.path + tuple(indices))
 
     def generator(self) -> np.random.Generator:
-        """Fresh counter-based generator for this key."""
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(seq))
+        """Fresh counter-based generator for this key: Philox keyed by
+        ``SeedSequence(master_seed, spawn_key=path)``.  A stream made by
+        :meth:`block_chunks` carries the key that its one vectorized pass
+        derived, bit for bit the one ``SeedSequence`` gives."""
+        key = self._key
+        if key is None:
+            seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
+            key = seq.generate_state(2, np.uint64)
+        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
     def block_chunks(self, start: int, stop: int, shape):
         """Draws of samples [start, stop) in time slices of about ``CHUNK_BYTES``.
@@ -64,11 +176,17 @@ class RandomStream:
         fill ``CHUNK_BYTES`` (at least one row; fewer in the last slice),
         read at call time.  Each sample's generator continues its stream from one
         slice to the next, so the slicing moves no draw.  This is the one
-        place where ensembles key samples to substreams.
+        place where ensembles key samples to substreams: sample i draws from
+        ``child(i)``, whose Philox key is derived for the whole block in one
+        vectorized pass, identical to ``SeedSequence``'s.
         """
         steps, *rest = shape
         rows = max(1, CHUNK_BYTES // (8 * max(1, (stop - start) * math.prod(rest))))
-        gens = [self.child(i).generator() for i in range(start, stop)]
+        keys = _philox_keys(self.master_seed, self.path, start, stop)
+        gens = [
+            RandomStream(self.master_seed, self.path + (i,), _key=key).generator()
+            for i, key in zip(range(start, stop), keys)
+        ]
         for r0 in range(0, max(steps, 1), rows):
             out = np.empty((stop - start, min(rows, steps - r0), *rest))
             for gen, row in zip(gens, out):

@@ -61,13 +61,53 @@ def test_step_component_does_not_leak_across_samples():
     assert np.array_equal(before, after)
 
 
+def _seed_sequence_draws(master_seed, path, samples, shape) -> np.ndarray:
+    """Each sample's draws from numpy's own SeedSequence-keyed Philox stream,
+    stacked: the oracle for the keys block_chunks derives itself."""
+    return np.stack([
+        np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=path + (i,)))
+        ).standard_normal(shape)
+        for i in samples
+    ])
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7])
+@pytest.mark.parametrize("path", [(), (0,), (1, 5), (2**40,)])
+def test_philox_keys_match_seed_sequence(master_seed, path):
+    # The vectorized keys equal SeedSequence's, also across index 2^32, where
+    # the sample index grows a second entropy word.  The CLI runs under
+    # errstate(over="raise"), where uint32 scalars, unlike arrays, trap on
+    # wraparound.
+    for start, stop in [(0, 5), (126, 131), (2**32 - 3, 2**32 + 2)]:
+        with np.errstate(over="raise"):
+            keys = montecarlo._philox_keys(master_seed, path, start, stop)
+        expected = [
+            np.random.SeedSequence(master_seed, spawn_key=path + (i,)).generate_state(2, np.uint64)
+            for i in range(start, stop)
+        ]
+        assert keys.dtype == np.uint64 and np.array_equal(keys, expected)
+    assert montecarlo._philox_keys(master_seed, path, 4, 4).shape == (0, 2)
+
+
+def test_generator_keys_philox_by_seed_sequence():
+    # A stream without a carried key is keyed by SeedSequence; a stream that
+    # carries its key draws the same, and the key is no part of its value.
+    stream = RandomStream(2**64 + 5, (3, 1))
+    draws = stream.generator().standard_normal(8)
+    assert np.array_equal(draws, _seed_sequence_draws(2**64 + 5, (3,), [1], 8)[0])
+    keyed = RandomStream(2**64 + 5, (3, 1), _key=montecarlo._philox_keys(2**64 + 5, (3,), 1, 2)[0])
+    assert np.array_equal(keyed.generator().standard_normal(8), draws)
+    assert keyed == stream and hash(keyed) == hash(stream) and repr(keyed) == repr(stream)
+
+
 @pytest.mark.parametrize("shape, empty_shape", [((5,), (0, 5)), ((4, 3), (0, 4, 3))])
 def test_block_chunks_match_per_sample_draws(shape, empty_shape):
     # The slices of block_chunks, joined along time, are each sample's own
     # draws; an empty sample range still yields one slice of the block's shape.
     stream = RandomStream(11)
     block = np.concatenate(list(stream.block_chunks(3, 7, shape)), axis=1)
-    expected = np.stack([stream.child(i).generator().standard_normal(shape) for i in range(3, 7)])
+    expected = _seed_sequence_draws(11, (), range(3, 7), shape)
     assert np.array_equal(block, expected)
     empty = np.concatenate(list(stream.block_chunks(2, 2, shape)), axis=1)
     assert empty.shape == empty_shape
@@ -83,7 +123,7 @@ def test_block_chunks_concatenate_to_per_sample_draws(monkeypatch, shape, rows):
     stream = RandomStream(13)
     chunks = list(stream.block_chunks(5, 9, shape))
     assert [c.shape[1] for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
-    expected = np.stack([stream.child(i).generator().standard_normal(shape) for i in range(5, 9)])
+    expected = _seed_sequence_draws(13, (), range(5, 9), shape)
     assert np.array_equal(np.concatenate(chunks, axis=1), expected)
 
 
