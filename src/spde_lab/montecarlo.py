@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 Z_THRESHOLD = 3.0
 
@@ -122,18 +121,23 @@ def _philox_keys(master_seed: int, path: tuple[int, ...], start: int, stop: int)
     return np.concatenate(keys)
 
 
-class _PhiloxKey(ISeedSequence):
-    """A Philox key handed to ``np.random.Philox`` as the seed sequence it
-    asks for its key, so no ``SeedSequence`` is built (``Philox(key=...)``
-    would still build one from OS entropy)."""
+@functools.cache
+def _philox_key_type() -> type:
+    """The seed-sequence type that hands ``np.random.Philox`` a given key,
+    so no ``SeedSequence`` is built (``Philox(key=...)`` would still build
+    one from OS entropy).  Made on first use: importing this module loads
+    no ``numpy.random``."""
 
-    __slots__ = ("key",)
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("key",)
 
-    def __init__(self, key: np.ndarray):
-        self.key = key
+        def __init__(self, key: np.ndarray):
+            self.key = key
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.key
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return PhiloxKey
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,7 @@ class RandomStream:
         if key is None:
             seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
             key = seq.generate_state(2, np.uint64)
-        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+        return np.random.Generator(np.random.Philox(_philox_key_type()(key)))
 
     def block_chunks(self, start: int, stop: int, shape):
         """Draws of samples [start, stop) in time slices of about ``CHUNK_BYTES``.
