@@ -47,6 +47,8 @@ _MASK32 = 0xFFFFFFFF
 def _words(n: int) -> list[int]:
     """Little-endian 32-bit words of a non-negative int, ``[0]`` for 0, as
     ``SeedSequence`` reads an entropy or spawn-key integer."""
+    if n < 0:
+        raise ValueError("stream seeds, path and sample indices must be non-negative")
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)

@@ -90,7 +90,7 @@ def running_sums(slices):
         if not lead:
             inc[:, 0] += sums[:, -1]
         sums = np.zeros((inc.shape[0], lead + inc.shape[1], *inc.shape[2:]))
-        if 0 < inc.shape[1] < inc[:, 0].size:
+        if inc.shape[1] < inc[:, 0].size:
             sums[:, lead] = inc[:, 0]
             for j in range(lead + 1, sums.shape[1]):
                 np.add(sums[:, j - 1], inc[:, j - lead], out=sums[:, j])

@@ -10,7 +10,7 @@ import pytest
 from spde_lab import burgers, heat, lyapunov, wave
 from spde_lab.hilbert import CovarianceSpectrum, DirichletBasis, HilbertVector, correlation_kernel
 from spde_lab.montecarlo import (
-    Check, block_moments, compare, map_blocks, pairwise_stats, write_series_csv,
+    Check, RandomStream, block_moments, compare, map_blocks, pairwise_stats, write_series_csv,
 )
 
 SPECTRUM = CovarianceSpectrum(np.ones(2))
@@ -50,6 +50,10 @@ CASES = {
     "series-lengths": (lambda: write_series_csv("unused.csv", {"t": [0.0, 1.0], "x": [0.0]}),
                        "equal length"),
     "map-blocks-samples": (lambda: map_blocks(None, 0), "n_samples"),
+    "stream-seed": (lambda: next(RandomStream(-1).block_chunks(0, 2, (3,))), "non-negative"),
+    "stream-path": (lambda: next(RandomStream(1, (-2,)).block_chunks(0, 2, (3,))),
+                    "non-negative"),
+    "stream-sample": (lambda: next(RandomStream(1).block_chunks(-1, 2, (3,))), "non-negative"),
     "wave-amps": (lambda: wave.WaveProblem(1.0, 1.0, 1.0, SPECTRUM, np.ones(2), np.ones(3)),
                   "equal-length"),
     "wave-spectrum": (lambda: wave.WaveProblem(1.0, 1.0, 1.0, SPECTRUM, np.ones(3), np.ones(3)),
