@@ -47,8 +47,6 @@ _MASK32 = 0xFFFFFFFF
 def _words(n: int) -> list[int]:
     """Little-endian 32-bit words of a non-negative int, ``[0]`` for 0, as
     ``SeedSequence`` reads an entropy or spawn-key integer."""
-    if n < 0:
-        raise ValueError("stream seeds, path and sample indices must be non-negative")
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)
@@ -103,23 +101,22 @@ def _philox_keys(master_seed: int, path: tuple[int, ...], start: int, stop: int)
 
     The entropy is the master seed's words, zero-padded to the pool size
     (as ``SeedSequence`` pads it before a spawn key), then the words of the
-    path and of the sample index.  An index of one more word is one more
-    entropy row, so each run of indices of equal width is keyed on its own.
+    path and the sample index, one entropy column per sample.  Samples from
+    index 2^32 on, whose index takes a second word, are keyed by
+    ``SeedSequence`` itself: no ensemble reaches them.
     """
+    if min(master_seed, *path, start) < 0:
+        raise ValueError("stream seeds, path and sample indices must be non-negative")
     seed = _words(master_seed)
     prefix = seed + [0] * (_POOL_SIZE - len(seed)) + [w for i in path for w in _words(i)]
-    keys = [np.empty((0, 2), dtype=np.uint64)]
-    lo = start
-    while lo < stop:
-        width = len(_words(lo))
-        hi = min(stop, 1 << (32 * width))
-        index = np.arange(lo, hi, dtype=np.uint64)
-        entropy = np.empty((len(prefix) + width, hi - lo), dtype=np.uint32)
-        entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
-        for j in range(width):
-            entropy[len(prefix) + j] = index >> (32 * j) & _MASK32
-        keys.append(_seed_sequence_keys(entropy))
-        lo = hi
+    wide = max(start, min(stop, 1 << 32))
+    entropy = np.empty((len(prefix) + 1, wide - start), dtype=np.uint32)
+    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(start, wide)
+    keys = [_seed_sequence_keys(entropy)] + [
+        np.random.SeedSequence(master_seed, spawn_key=path + (i,)).generate_state(2, np.uint64)[None]
+        for i in range(wide, stop)
+    ]
     return np.concatenate(keys)
 
 
@@ -156,7 +153,8 @@ class RandomStream:
     master_seed: int
     path: tuple[int, ...] = ()
     # The Philox key of (master_seed, path) when block_chunks derived it;
-    # None means generator() derives it.  Not part of the stream's value.
+    # None means generator() seeds Philox by SeedSequence.  Not part of the
+    # stream's value.
     _key: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def child(self, *indices: int) -> "RandomStream":
@@ -164,15 +162,16 @@ class RandomStream:
         return RandomStream(self.master_seed, self.path + tuple(indices))
 
     def generator(self) -> np.random.Generator:
-        """Fresh counter-based generator for this key: Philox keyed by
+        """Fresh counter-based generator for this key: Philox seeded by
         ``SeedSequence(master_seed, spawn_key=path)``.  A stream made by
-        :meth:`block_chunks` carries the key that its one vectorized pass
-        derived, bit for bit the one ``SeedSequence`` gives."""
-        key = self._key
-        if key is None:
+        :meth:`block_chunks` instead carries the Philox key that its one
+        vectorized pass derived, bit for bit the one ``SeedSequence`` gives;
+        its generator never leaves ``block_chunks``."""
+        if self._key is None:
             seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
-            key = seq.generate_state(2, np.uint64)
-        return np.random.Generator(np.random.Philox(_philox_key_type()(key)))
+        else:
+            seq = _philox_key_type()(self._key)
+        return np.random.Generator(np.random.Philox(seq))
 
     def block_chunks(self, start: int, stop: int, shape):
         """Draws of samples [start, stop) in time slices of about ``CHUNK_BYTES``.

@@ -79,22 +79,13 @@ def running_sums(slices):
     of each slice is carried into the next slice's first increment (in
     place) before the cumulative sum, so every addition happens in the order
     of one sum over all steps: slicing moves no bit.
-
-    A slice with fewer rows than entries per row is summed row by row, since
-    ``np.cumsum`` would run its inner loop along the short, strided row axis;
-    the additions and their order are the same either way.
     """
     r0 = 0
     for inc in slices:
-        lead = int(r0 == 0)
+        lead = r0 == 0
         if not lead:
             inc[:, 0] += sums[:, -1]
         sums = np.zeros((inc.shape[0], lead + inc.shape[1], *inc.shape[2:]))
-        if inc.shape[1] < inc[:, 0].size:
-            sums[:, lead] = inc[:, 0]
-            for j in range(lead + 1, sums.shape[1]):
-                np.add(sums[:, j - 1], inc[:, j - lead], out=sums[:, j])
-        else:
-            np.cumsum(inc, axis=1, out=sums[:, lead:])
+        np.cumsum(inc, axis=1, out=sums[:, lead:])
         yield r0, sums
         r0 += sums.shape[1]

@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import json
 import math
+import pickle
 import re
 import tracemalloc
 from functools import partial
@@ -75,8 +76,9 @@ def _seed_sequence_draws(master_seed, path, samples, shape) -> np.ndarray:
 @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7])
 @pytest.mark.parametrize("path", [(), (0,), (1, 5), (2**40,)])
 def test_philox_keys_match_seed_sequence(master_seed, path):
-    # The vectorized keys equal SeedSequence's, also across index 2^32, where
-    # the sample index grows a second entropy word.  The CLI runs under
+    # The vectorized keys equal SeedSequence's, also in a block across index
+    # 2^32, where the sample index grows a second entropy word and the keys
+    # from 2^32 on come from SeedSequence itself.  The CLI runs under
     # errstate(over="raise"), where uint32 scalars, unlike arrays, trap on
     # wraparound.
     for start, stop in [(0, 5), (126, 131), (2**32 - 3, 2**32 + 2)]:
@@ -91,9 +93,18 @@ def test_philox_keys_match_seed_sequence(master_seed, path):
 
 
 def test_generator_keys_philox_by_seed_sequence():
-    # A stream without a carried key is keyed by SeedSequence; a stream that
-    # carries its key draws the same, and the key is no part of its value.
+    # A stream without a carried key seeds Philox by numpy's own
+    # SeedSequence, so its generator spawns and pickles as numpy's does; a
+    # stream that carries its key draws the same, and the key is no part of
+    # its value.
     stream = RandomStream(2**64 + 5, (3, 1))
+    gen = stream.generator()
+    seq = gen.bit_generator.seed_seq
+    assert isinstance(seq, np.random.SeedSequence)
+    assert (seq.entropy, seq.spawn_key) == (2**64 + 5, (3, 1))
+    assert len(gen.spawn(2)) == 2
+    assert np.array_equal(pickle.loads(pickle.dumps(gen)).standard_normal(8),
+                          stream.generator().standard_normal(8))
     draws = stream.generator().standard_normal(8)
     assert np.array_equal(draws, _seed_sequence_draws(2**64 + 5, (3,), [1], 8)[0])
     keyed = RandomStream(2**64 + 5, (3, 1), _key=montecarlo._philox_keys(2**64 + 5, (3,), 1, 2)[0])

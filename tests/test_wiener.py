@@ -228,15 +228,12 @@ def test_dimension_mismatch_rejected():
         sample_increments_block(SPEC, small, TimeGrid(0.1, 5), RandomStream(1), 0, 2)
 
 
-@pytest.mark.parametrize("shape", [(4, 10), (3, 10, 5, 2), (1, 40, 3)])
+@pytest.mark.parametrize("shape", [(4, 10), (3, 10, 5, 2)])
 @pytest.mark.parametrize("rows", [1, 3, 10])
 def test_running_sums_match_one_cumsum(shape, rows):
-    # Slices of 1, 3 and 10 rows give the bits of one cumulative sum with a
-    # zero row prepended: the first slice leads with that zero row, and each
-    # later slice's rows start where the previous one stopped.  Slices with
-    # fewer rows than entries per row ([3, r, 5, 2], [4, 1], [4, 3],
-    # [1, 1, 3]) are summed row by row, the others ([4, 10], [1, 3, 3],
-    # [1, 10, 3]) by np.cumsum.
+    # Slices of 1, 3 and all 10 rows give the bits of one cumulative sum
+    # with a zero row prepended: the first slice leads with that zero row,
+    # and each later slice's rows start where the previous one stopped.
     batch, steps, *rest = shape
     inc = np.random.default_rng(3).standard_normal(shape)
     slices = [inc[:, a : a + rows].copy() for a in range(0, steps, rows)]
