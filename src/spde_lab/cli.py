@@ -42,11 +42,10 @@ its ``generated-at`` field.
 
 A CLI process loads numpy's OpenBLAS at one thread: imported before numpy,
 this module sets ``OPENBLAS_NUM_THREADS=1``, overriding an inherited value,
-so OpenBLAS's thread server, which spins idle for about 0.07 s of CPU per
-process on a 2-vCPU x86-64 host, never starts, and pool workers inherit
-the setting.  The CLI makes no threaded
-BLAS call, and its data do not depend on that variable.  A program that
-imports numpy first keeps its thread count until :func:`main` or
+so OpenBLAS's thread server, whose threads spin idle, never starts, and
+pool workers inherit the setting.  The CLI makes no threaded BLAS call,
+and its data do not depend on that variable.  A program that imports
+numpy first keeps its thread count until :func:`main` or
 :func:`map_blocks` sets one.
 """
 
@@ -307,11 +306,11 @@ def _wiener_block(spec, basis, grid, pairs, k_s, stream, start, stop):
     kept = {}
     draws = stream.block_chunks(start, stop, (grid.steps, n))
     increments = (np.multiply(z, np.sqrt(grid.dt), out=z) for z in draws)
-    for r0, paths in wiener.running_sums(increments):
-        r1 = r0 + paths.shape[1]
-        coeff = sqrt_q * paths
-        norm2[:, r0:r1] = np.sum(coeff**2, axis=2)
-        kept |= {k: coeff[:, k - r0] for k in (k_s, grid.steps) if r0 <= k < r1}
+    for r0, coeff in wiener.running_sums(increments):
+        r1 = r0 + len(coeff)
+        coeff *= sqrt_q
+        norm2[:, r0:r1] = np.sum(coeff**2, axis=2).T
+        kept |= {k: coeff[k - r0] for k in (k_s, grid.steps) if r0 <= k < r1}
     final = kept[grid.steps]
     cols = [norm2[:, -1:] / grid.t_final, final @ np.full((n, 1), 1.0 / np.sqrt(n))]
     cols += [((final @ a) * (kept[k_s] @ b))[:, np.newaxis] for a, b in pairs]

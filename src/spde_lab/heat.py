@@ -67,7 +67,7 @@ def simulate_block(
     rows = slice(None) if keep is None else grid.indices(keep)
     draws = stream.block_chunks(start, stop, (grid.steps,))
     increments = (np.multiply(z, np.sqrt(grid.dt), out=z) for z in draws)
-    w = np.concatenate([sums for _, sums in running_sums(increments)], axis=1)
+    w = np.concatenate([sums for _, sums in running_sums(increments)]).T
     exponent = (
         prob.drift_rates * grid.times[rows, np.newaxis] + prob.epsilon * w[:, rows, np.newaxis]
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .hilbert import DirichletBasis
 from .montecarlo import RandomStream
-from .wiener import TimeGrid, running_sums
+from .wiener import TimeGrid
 
 # Relative threshold deciding which initial coefficients count as nonzero.
 ACTIVE_TOL = 1e-12
@@ -95,8 +95,8 @@ def log_norm_path(prob: LyapunovProblem, grid: TimeGrid, stream: RandomStream) -
     active = _active_modes(prob)
     rates = -prob.eigenvalues[active] + prob.beta - 0.5 * prob.gamma**2
     log_f2 = 2 * np.log(np.abs(prob.init_coeffs[active]))
-    draws = stream.generator().standard_normal((1, grid.steps))
-    _, (w,) = next(running_sums([np.sqrt(grid.dt) * draws]))
+    draws = stream.generator().standard_normal(grid.steps)
+    w = np.concatenate([[0.0], np.cumsum(np.sqrt(grid.dt) * draws)])
     terms = 2 * rates * grid.times[:, np.newaxis] + log_f2
     log_sq = terms[:, 0] + np.log1p(np.exp(terms[:, 1:] - terms[:, :1]).sum(axis=1))
     return prob.gamma * w + 0.5 * log_sq

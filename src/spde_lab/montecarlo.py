@@ -517,7 +517,9 @@ def map_blocks(fn, n_samples: int, *, workers: int = 1) -> tuple[np.ndarray, Mom
     product can depend on how BLAS splits it over threads, and ``workers``
     is the only parallelism setting.  Workers start while this process is
     at one thread, so a forked worker inherits it and its initializer has
-    nothing to set; a spawned one sets it.
+    nothing to set; a spawned one sets it.  Before a pool starts, this
+    process loads ``numpy.random``, which a forked worker then shares
+    instead of importing it itself.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
@@ -526,6 +528,8 @@ def map_blocks(fn, n_samples: int, *, workers: int = 1) -> tuple[np.ndarray, Mom
     workers = min(workers, len(starts))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
+
+        import numpy.random  # once here, shared by forked workers
 
         executor = ProcessPoolExecutor(
             max_workers=workers, initializer=_set_blas_threads, initargs=(1,)

@@ -134,9 +134,12 @@ def simulate_block(
     Both forms walk the draws in the time slices of
     ``RandomStream.block_chunks``; each slice becomes in place the
     increments of the amplitudes (p, q) = (A - g I_sin, B + g I_cos), which
-    :func:`~spde_lab.wiener.running_sums` carries from slice to slice, so
-    no output bit depends on the slicing.  Only the amplitudes at the kept
-    rows (all rows without ``keep``) are held, and u is formed from them.
+    :func:`~spde_lab.wiener.running_sums` sums time-major and carries from
+    slice to slice, so no output bit depends on the slicing.  Each slice's
+    sums become the amplitudes and then their squares in place, and the
+    energies of its rows are written transposed.  Only the amplitudes at
+    the kept rows (all rows without ``keep``) are held, sample-major, and u
+    is formed from them.
     """
     diagonal, a21 = _increment_factors(prob, grid)
     amps = np.stack([prob.cos_amps, prob.sin_amps], axis=-1)
@@ -155,14 +158,14 @@ def simulate_block(
     half_mu2 = np.repeat(0.5 * mu**2, 2)
     pq_keep = np.empty((stop - start, rows.size, prob.n_modes, 2))
     energies = np.empty((stop - start, grid.steps + 1))
-    for r0, sums in running_sums(increments()):
-        pq = sums + amps
-        r1 = r0 + pq.shape[1]
+    for r0, pq in running_sums(increments()):
+        pq += amps
+        r1 = r0 + len(pq)
         inside = (rows >= r0) & (rows < r1)
-        pq_keep[:, inside] = pq[:, rows[inside] - r0]
+        pq_keep[:, inside] = pq[rows[inside] - r0].swapaxes(0, 1)
         sq = np.square(pq, out=pq).reshape(*pq.shape[:2], -1)
         # Not a BLAS product, whose sums depend on a row's place in the slice.
-        energies[:, r0:r1] = np.einsum("...k,k", sq, half_mu2)
+        energies[:, r0:r1] = np.einsum("...k,k", sq, half_mu2).T
     phase = mu * grid.times[rows, np.newaxis]
     c, s = np.cos(phase), np.sin(phase)
     p, q = pq_keep[..., 0], pq_keep[..., 1]

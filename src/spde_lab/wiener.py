@@ -14,6 +14,12 @@ import numpy as np
 from .hilbert import CovarianceSpectrum, DirichletBasis
 from .montecarlo import RandomStream
 
+# Entries per grid row (batch x entries per step) from which running_sums
+# adds row by row: one np.add per row costs a call each, one np.cumsum a
+# fixed amount per entry, and the two cross between 512 and 640 entries
+# (CHANGES.md has the table).  Both give the same bits.
+_ROW_ADD_MIN_WIDTH = 512
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -72,20 +78,37 @@ def sample_increments_block(
 
 
 def running_sums(slices):
-    """Running sums along axis 1 of consecutive increment slices [batch, r, ...].
+    """Running sums along axis 1 of consecutive increment slices [batch, r, ...],
+    laid out time-major.
 
-    Yields ``(r0, sums)`` with ``sums`` the grid rows from ``r0``: r + 1
-    rows from zero for the first slice, then r rows per slice.  The last sum
-    of each slice is carried into the next slice's first increment (in
-    place) before the cumulative sum, so every addition happens in the order
-    of one sum over all steps: slicing moves no bit.
+    Yields ``(r0, sums)`` with ``sums`` of shape [rows, batch, ...], the grid
+    rows from ``r0``: r + 1 rows from zero for the first slice, then r rows
+    per slice.  Each row is the previous row plus the slice's increments at
+    its step, the additions of one sum over all steps in their order, so
+    slicing moves no bit.  The last row is carried into the next slice as
+    this function's own copy, so a caller may overwrite ``sums`` in place.
+    A row of ``_ROW_ADD_MIN_WIDTH`` entries or more is one contiguous
+    ``np.add``; narrower rows take one ``np.cumsum`` over the slice, with
+    the carry added to its first increment (in place), and give the same bits.
     """
-    r0 = 0
+    r0, carry = 0, None
     for inc in slices:
-        lead = r0 == 0
-        if not lead:
-            inc[:, 0] += sums[:, -1]
-        sums = np.zeros((inc.shape[0], lead + inc.shape[1], *inc.shape[2:]))
-        np.cumsum(inc, axis=1, out=sums[:, lead:])
+        batch, r, *rest = inc.shape
+        lead = carry is None
+        sums = np.empty((lead + r, batch, *rest))
+        if lead:
+            sums[0] = 0.0
+        if inc[:, 0].size < _ROW_ADD_MIN_WIDTH:
+            if not lead:
+                inc[:, 0] += carry
+            np.cumsum(inc, axis=1, out=sums[lead:].swapaxes(0, 1))
+        else:
+            for j, row in enumerate(sums[lead:]):
+                if carry is None:
+                    row[...] = inc[:, 0]
+                else:
+                    np.add(carry, inc[:, j], out=row)
+                carry = row
+        carry = sums[-1].copy()
         yield r0, sums
-        r0 += sums.shape[1]
+        r0 += len(sums)

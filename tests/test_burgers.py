@@ -348,10 +348,13 @@ def test_ensemble_worker_invariance(monkeypatch):
 
 
 def test_ensemble_bytes_independent_of_blas_threads():
-    # At 64 modes, the ragged last block (116 of 244 samples) of
-    # trace_block gives other last bits on two BLAS threads than on one,
-    # and at this amplitude they reach e2 and its statistics; map_blocks runs
-    # every block on one thread, in-process or pooled.
+    # With the process at two BLAS threads, an ensemble of a full and a
+    # ragged block (116 of 244 samples) at 64 modes has the bytes of the
+    # one-thread run, in-process and pooled, as map_blocks runs every block
+    # on one thread.  Where a product's last bits do not depend on the
+    # thread count, as with numpy 2.4.6's bundled OpenBLAS on x86-64, this
+    # holds even without that; test_map_blocks_runs_blocks_on_one_blas_thread
+    # checks the thread count itself.
     calls = montecarlo._openblas()
     if calls is None:
         pytest.skip("numpy's bundled OpenBLAS was not found")

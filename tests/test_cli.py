@@ -3,6 +3,7 @@ import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -504,6 +505,37 @@ def test_default_workers_reach_the_pool_and_the_echo(tmp_path, capsys, monkeypat
     assert names == ["report.csv", "series_energy.csv"]
     for name in names:
         assert len({(out / name).read_bytes() for out in outs}) == 1, name
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pooled_data_bytes_under_each_start_method(tmp_path, capsys, monkeypatch, method):
+    # map_blocks takes the platform's default start method (fork on Linux
+    # before Python 3.14, forkserver from it).  Under each method the
+    # platform offers, a pooled wave run and a pooled wiener run of three
+    # blocks write the serial run's verdict and data CSVs byte for byte.
+    executor, methods = concurrent.futures.ProcessPoolExecutor, []
+
+    def pool(**kwargs):
+        methods.append(method)
+        return executor(mp_context=multiprocessing.get_context(method), **kwargs)
+
+    runs = {
+        "wave": ["wave", "--modes", "4", "--dt", "0.05", "--t-final", "0.5", "--samples", "300"],
+        "wiener": ["wiener", "--modes", "4", "--samples", "300"],
+    }
+    for name, argv in runs.items():
+        argv = [*argv, "--seed", "3", "--out"]
+        serial, pooled = tmp_path / f"{name}-1", tmp_path / f"{name}-3"
+        code = run([*argv, str(serial), "--workers", "1"])
+        with monkeypatch.context() as m:
+            m.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+            assert run([*argv, str(pooled), "--workers", "3"]) == code
+        capsys.readouterr()
+        names = sorted(p.name for p in serial.glob("*.csv"))
+        assert "report.csv" in names and any(n.startswith("series_") for n in names)
+        for n in names:
+            assert (pooled / n).read_bytes() == (serial / n).read_bytes(), (name, n)
+    assert methods == [method, method]
 
 
 @pytest.mark.parametrize(

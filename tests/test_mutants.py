@@ -120,14 +120,14 @@ def _heat_without_ito_drift(monkeypatch):
 
 
 def _sums_without_carry(slices):
-    """``wiener.running_sums`` with every slice summed from zero."""
+    """``wiener.running_sums`` with every slice summed from zero, time-major."""
     r0 = 0
     for inc in slices:
         lead = r0 == 0
-        sums = np.zeros((inc.shape[0], lead + inc.shape[1], *inc.shape[2:]))
-        np.cumsum(inc, axis=1, out=sums[:, lead:])
+        sums = np.zeros((lead + inc.shape[1], inc.shape[0], *inc.shape[2:]))
+        np.cumsum(inc, axis=1, out=sums[lead:].swapaxes(0, 1))
         yield r0, sums
-        r0 += sums.shape[1]
+        r0 += len(sums)
 
 
 def _heat_without_carry(monkeypatch):

@@ -1,10 +1,12 @@
+import itertools
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spde_lab import montecarlo
+from spde_lab import montecarlo, wiener
 from spde_lab.hilbert import CovarianceSpectrum, DirichletBasis
 from spde_lab.montecarlo import RandomStream, pairwise_stats
 from spde_lab.wiener import TimeGrid, running_sums, sample_increments_block
@@ -230,16 +232,27 @@ def test_dimension_mismatch_rejected():
 
 @pytest.mark.parametrize("shape", [(4, 10), (3, 10, 5, 2)])
 @pytest.mark.parametrize("rows", [1, 3, 10])
-def test_running_sums_match_one_cumsum(shape, rows):
+def test_running_sums_match_one_cumsum(monkeypatch, shape, rows):
     # Slices of 1, 3 and all 10 rows give the bits of one cumulative sum
-    # with a zero row prepended: the first slice leads with that zero row,
-    # and each later slice's rows start where the previous one stopped.
+    # with a zero row prepended, time-major: the first slice leads with that
+    # zero row, and each later slice's rows start where the previous one
+    # stopped.  So do both branches, the row adds (every row at least one
+    # entry wide) and the np.cumsum (no row wide enough to add), also when
+    # the caller overwrites each slice's sums, since the carry is the
+    # helper's own copy.
     batch, steps, *rest = shape
     inc = np.random.default_rng(3).standard_normal(shape)
-    slices = [inc[:, a : a + rows].copy() for a in range(0, steps, rows)]
-    out = list(running_sums(slices))
-    assert [r0 for r0, _ in out] == [0] + list(range(rows + 1, steps + 1, rows))
-    assert out[0][1].shape == (batch, rows + 1, *rest)
-    assert np.array_equal(out[0][1][:, 0], np.zeros((batch, *rest)))
     expected = np.concatenate([np.zeros((batch, 1, *rest)), np.cumsum(inc, axis=1)], axis=1)
-    assert np.array_equal(np.concatenate([sums for _, sums in out], axis=1), expected)
+    for width, overwrite in itertools.product((1, sys.maxsize), (False, True)):
+        monkeypatch.setattr(wiener, "_ROW_ADD_MIN_WIDTH", width)
+        slices = [inc[:, a : a + rows].copy() for a in range(0, steps, rows)]
+        out = []
+        for r0, sums in running_sums(slices):
+            out.append((r0, sums.copy()))
+            if overwrite:
+                sums.fill(np.nan)
+        assert [r0 for r0, _ in out] == [0] + list(range(rows + 1, steps + 1, rows))
+        assert out[0][1].shape == (rows + 1, batch, *rest)
+        assert np.array_equal(out[0][1][0], np.zeros((batch, *rest)))
+        got = np.concatenate([sums for _, sums in out])
+        assert np.array_equal(got, expected.swapaxes(0, 1)), (width, overwrite)
