@@ -7,17 +7,21 @@ sine modes.  The advection term is evaluated in skew-symmetric split form
 
 on a collocation grid of floor(3N/2) + 1 panels (Orszag's 3/2 rule), which
 dealiases every quadratic product exactly; <u, N(u)> then vanishes to
-roundoff, so the discrete dynamics cannot produce spurious energy.  Time
-stepping is exponential Euler: the linear part is integrated exactly in
-law per mode and the nonlinearity explicitly,
+roundoff.  Time stepping is exponential Euler: the linear part is
+integrated exactly in law per mode and the nonlinearity explicitly, its
+substep projected back onto the invariant ||u||,
 
-    additive:        u_{k+1} = E (u_k + dt N(u_k)) + sigma sqrt(q (1 - E^2) / (2 nu lambda)) z
-    multiplicative:  u_{k+1} = E (u_k + dt N(u_k)) exp(sigma sqrt(dt) z - sigma^2 dt / 2)
+    v = (u_k + dt N(u_k)) ||u_k|| / ||u_k + dt N(u_k)||
+    additive:        u_{k+1} = E v + sigma sqrt(q (1 - E^2) / (2 nu lambda)) z
+    multiplicative:  u_{k+1} = E v exp(sigma sqrt(dt) z - sigma^2 dt / 2)
 
-with E = exp(-nu lambda_n dt) and standard normals z.  Each step draws one
-normal per noise gain up to the last nonzero one: at most N under additive
-noise (one gain per mode), and one under multiplicative noise (one shared
-gain; none at sigma = 0).
+with E = exp(-nu lambda_n dt) and standard normals z.  The projection
+(Hairer, Lubich & Wanner, Geometric Numerical Integration, 2nd ed., IV.4)
+removes the bare substep's O(dt^2) energy gain dt^2 ||N(u_k)||^2, so the
+mean energy obeys the bounds below at every grid time (the additive one
+for l >= 1).  Each step draws one normal per noise gain up to the last
+nonzero one: at most N under additive noise (one gain per mode), and one
+under multiplicative noise (one shared gain; none at sigma = 0).
 
 The mean-energy bounds follow from the energy inequality
 d/dt E||u||^2 <= -(2 nu / c) E||u||^2 + forcing, with c the Poincare
@@ -34,9 +38,6 @@ import numpy as np
 from .hilbert import CovarianceSpectrum, DirichletBasis
 from .montecarlo import RandomStream
 from .wiener import TimeGrid
-
-# Abort a sample once ||u||^2 exceeds this multiple of its natural scale.
-BLOWUP_FACTOR = 1e6
 
 
 class StepSizeError(ValueError):
@@ -139,21 +140,14 @@ def dt_max(prob: BurgersProblem, coeffs: np.ndarray) -> float:
     """Advective CFL limit 0.25 l / (N max|u|) for the current state, with
     max|u| taken over the collocation nodes.
 
-    Diffusion is integrated exactly, so it imposes no step restriction.
+    Diffusion is integrated exactly and the projected substep keeps ||u||,
+    so the limit bounds the accuracy of the advection, not its stability.
     """
     values = _transforms(prob.n_modes, prob.length)[0]
     peak = float(np.max(np.abs(coeffs @ values), initial=0.0))
     if peak == 0.0:
         return float("inf")
     return 0.25 * prob.length / (prob.n_modes * peak)
-
-
-def blowup_threshold(prob: BurgersProblem, e2_init: float) -> float:
-    """Energy level treated as divergence: 1e6 x (initial + asymptotic scale)."""
-    asymptote = 0.0
-    if isinstance(prob.noise, AdditiveNoise):
-        asymptote = energy_bound(prob, np.inf, 0.0)
-    return BLOWUP_FACTOR * (e2_init + asymptote + 1e-30)
 
 
 def _step_factors(prob: BurgersProblem, dt: float):
@@ -178,13 +172,19 @@ def _apply_step(prob: BurgersProblem, coeffs: np.ndarray, dt: float, factors, dr
     :func:`_step_factors` at ``dt``, with the gain [M] possibly cut to its
     leading entries, and ``draws`` [B, M] are standard normals.
 
-    Additive noise adds gain * draws into the first M modes; multiplicative
-    noise multiplies every mode by exp(draws @ gain - |gain|^2 / 2).
+    The substep u + dt N(u) is rescaled to the norm of u (by 1 where it is
+    zero, so a zero state stays zero), then decayed.  Additive noise adds
+    gain * draws into the first M modes; multiplicative noise multiplies
+    every mode by exp(draws @ gain - |gain|^2 / 2).
     """
     decay, gain = factors
     out = skew_nonlinearity(prob, coeffs)
     out *= dt
     out += coeffs
+    stepped = np.einsum("ij,ij->i", out, out)
+    scale = np.divide(np.einsum("ij,ij->i", coeffs, coeffs), stepped,
+                      out=np.ones_like(stepped), where=stepped > 0)
+    out *= np.sqrt(scale, out=scale)[:, np.newaxis]
     out *= decay
     if isinstance(prob.noise, AdditiveNoise):
         out[:, : gain.size] += gain * draws
@@ -199,13 +199,10 @@ def trace_block(
     """Energy traces e2 [stop - start, steps+1] for samples [start, stop),
     keyed by sample index.
 
-    A sample whose energy turns non-finite or crosses the blow-up threshold
-    is reset to zero and its row is NaN from that step on; it never
-    contaminates other rows, and the samples that diverged are
-    ``np.isnan(e2[:, -1])``.  The standard normals arrive in the time
-    slices of ``RandomStream.block_chunks``, so the block never holds all
-    of them at once.  Each sample draws [steps, M]: one normal per step for
-    each of the M gains of :func:`_step_factors` up to its last nonzero one.
+    The standard normals arrive in the time slices of
+    ``RandomStream.block_chunks``, so the block never holds all of them at
+    once.  Each sample draws [steps, M]: one normal per step for each of
+    the M gains of :func:`_step_factors` up to its last nonzero one.
     """
     limit = dt_max(prob, prob.init_coeffs)
     if grid.dt > limit:
@@ -218,19 +215,11 @@ def trace_block(
     coeffs = np.tile(prob.init_coeffs, (stop - start, 1))
     e2 = np.empty((stop - start, grid.steps + 1))
     e2[:, 0] = np.sum(coeffs**2, axis=1)
-    threshold = blowup_threshold(prob, float(np.sum(prob.init_coeffs**2)))
-    dead = np.zeros(stop - start, dtype=bool)
     chunks = stream.block_chunks(start, stop, (grid.steps, factors[1].size))
     step_draws = (z[:, j] for z in chunks for j in range(z.shape[1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, draws in enumerate(step_draws, 1):
-            coeffs = _apply_step(prob, coeffs, grid.dt, factors, draws)
-            energy = np.einsum("ij,ij->i", coeffs, coeffs)
-            newly = ~dead & ((~np.isfinite(energy)) | (energy > threshold))
-            if np.any(newly):
-                dead |= newly
-                coeffs[newly] = 0.0
-            e2[:, k] = np.where(dead, np.nan, energy)
+    for k, draws in enumerate(step_draws, 1):
+        coeffs = _apply_step(prob, coeffs, grid.dt, factors, draws)
+        e2[:, k] = np.einsum("ij,ij->i", coeffs, coeffs)
     return e2
 
 

@@ -328,8 +328,8 @@ def test_compare_one_sided_ignores_low_side():
 
 @pytest.mark.parametrize("estimate", [(math.nan, math.nan), (math.nan, 0.0), (1.0, math.inf)])
 def test_compare_non_finite_estimate_fails(estimate):
-    # A diverged sample's NaN reaches the estimate: the row fails, one-sided
-    # or not, instead of passing or raising.
+    # A non-finite sample reaches the estimate as NaN or inf: the row fails,
+    # one-sided or not, instead of passing or raising.
     row = compare(Check("bound", 0.0, 1.0, estimate, one_sided=True))
     assert not row.passed and math.isnan(row.z)
     assert "non-finite estimate" in row.note
@@ -384,8 +384,7 @@ def test_pairwise_stats_reduces_columns_without_copying_the_input(monkeypatch):
     # A non-contiguous [10000, 401] view, the shape of a wave run's energy
     # columns, reduced in 58 column groups of 7 (the last one ragged, of 2),
     # equals its column-by-column reduction bit for bit.  Every third entry
-    # of the next-to-last column is NaN, as a diverged Burgers sample's
-    # energies are: that column alone reads NaN.
+    # of the next-to-last column is NaN: that column alone reads NaN.
     values = np.random.default_rng(5).standard_normal((10000, 414))[:, 13:]
     values[::3, -2] = np.nan
     monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 8 * len(values) * 7)

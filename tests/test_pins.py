@@ -4,8 +4,8 @@ Each case runs one subcommand in-process at a small fixed config and seed
 (``SEED`` unless the case names its own) and compares the SHA-256 of ``report.csv`` and of every ``series_*.csv``
 with the digest recorded here.  ``summary.json`` is pinned too, without its
 ``generated-at`` line and with the output directory echoed in its config
-replaced by a fixed name: that pin covers the notes, the check counts,
-``divergence-count`` and the echoed config, which the CSVs do not carry.
+replaced by a fixed name: that pin covers the notes, the check counts
+and the echoed config, which the CSVs do not carry.
 A refactor must leave every digest as it is.
 
 The digests hold for the build they were recorded on: numpy 2.4.6 with
@@ -83,24 +83,24 @@ PINS = {
         ["burgers", "--noise", "additive", "--modes", "8", "--dt", "0.001",
          "--t-final", "0.05", "--samples", "40"],
         {
-            "report.csv": "9257f155923ea60677991b8f1dda969f698f868b687cdb1aa24d16206a99f261",
-            "series_energy.csv": "94b111e21b1842095df829c2a6c7990b10ea1be93866b867855c9d278fbaa84c",
+            "report.csv": "3578ef6cae94b97cab5536e8dff25dae00005dc367dee5deeab982e07dc35138",
+            "series_energy.csv": "007d2ded9e4729d8abc0af0dadde7264cdf0b2f404b618649ede5811d0708eb5",
         },
     ),
     "burgers-multiplicative": (
         ["burgers", "--noise", "multiplicative", "--modes", "8", "--dt", "0.001",
          "--t-final", "0.05", "--samples", "40"],
         {
-            "report.csv": "c81702cdf27d4a2007f968c67af16345e5c093953169c49ed7dfd3c8c990e7fe",
-            "series_energy.csv": "07e0409c456f776a511164afecbf456ebf164ba7e1548dec621d397f8176f3a3",
+            "report.csv": "8148e8f83178a28432168c3a7e3bdf80d74fddbfea792e076eb2a6405fb78818",
+            "series_energy.csv": "e006a634a4a88e678c929844060e98bdd7b492544b1ab1fb6e628ff4a72b9f28",
         },
     ),
 }
 
 
 SUMMARY_PINS = {
-    "burgers-additive": "777b04d6ae47b09c2bfe53c0d6e70c02822088a8df3825a55427fa973d055cce",
-    "burgers-multiplicative": "e8147d95957a68b2d00f0066e696fffa6204d08f2df435325722f79bacb1a0db",
+    "burgers-additive": "8a1282080c42a5c562a3d6fcb87eee4dffb38d09d97b10279dfd7c532fbc9919",
+    "burgers-multiplicative": "acfb68ba66a4c8ef068f7e3ef1b3220505cffc685c787665a24e7114fb26c775",
     "heat": "69fc1fc59a6a62e65119b9e4c647d5dbc6a2bc5c2b59b9a95ada4d4563737089",
     "heat-wide-seed": "6790d8fbc484512fbdb5b5a3456c4d0b80e429e726599e32973f3f9d7bc5171f",
     "lyapunov": "cdfb1d132902bd79ed91c3ded86719a174f4b603e15657a12d5ff5a3335ef989",
