@@ -5,9 +5,10 @@ Every stochastic experiment in this package draws its randomness through a
 :class:`RandomStream`, a value-like hierarchical key.  Ensembles are keyed
 by sample index (never by worker id), so any statistic is bit-identical no
 matter how samples are sharded across processes.  Each key seeds a Philox
-generator through numpy's ``SeedSequence``; a block of samples derives its
-Philox keys in one vectorized pass of the same algorithm, bit for bit the
-keys ``SeedSequence`` gives one sample at a time.
+generator through numpy's ``SeedSequence``; a block of samples takes the
+pool numpy mixes from the seed and path once, and mixes in each sample's
+index in one vectorized pass, bit for bit the keys ``SeedSequence`` gives
+one sample at a time.
 """
 
 from __future__ import annotations
@@ -35,30 +36,12 @@ CHUNK_BYTES = 1 << 20
 # bit, depends on it and the sample count alone.
 BLOCK_SIZE = 128
 
-# numpy's SeedSequence: pool size, hash and mix multipliers
+# numpy's SeedSequence: hash and mix multipliers
 # (numpy/random/bit_generator.pyx).
-_POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-
-
-def _words(n: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative int, ``[0]`` for 0, as
-    ``SeedSequence`` reads an entropy or spawn-key integer."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """A column of ``count`` successive hash constants init * mult^k mod 2^32."""
-    consts = [init]
-    for _ in range(count - 1):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -73,47 +56,33 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> 16)
 
 
-def _seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
-    """Philox keys [n, 2] (uint64) of n assembled entropy columns [L, n]
-    (uint32, L >= the pool size): ``SeedSequence``'s pool mixing and
-    ``generate_state(2, np.uint64)``, run on whole rows.  The hash constants
-    advance independently of the data, so all columns share them; the words
-    are uint32 arrays, which wrap where the C code wraps (numpy scalars would
-    trap under ``np.errstate(over="raise")``)."""
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy) + 1)
-    pool = _hashmix(entropy[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + _POOL_SIZE]))
-        k += _POOL_SIZE - 1
-    for word in entropy[_POOL_SIZE:]:
-        pool = _mix(pool, _hashmix(word, consts[k : k + _POOL_SIZE + 1]))
-        k += _POOL_SIZE
-    state = _hashmix(pool, _hash_consts(_INIT_B, _MULT_B, _POOL_SIZE + 1)).astype(np.uint64)
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
-
-
 def _philox_keys(master_seed: int, path: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     """Philox keys [stop - start, 2] of samples [start, stop) under ``path``:
     row i - start equals ``SeedSequence(master_seed, spawn_key=path + (i,))
     .generate_state(2, np.uint64)`` bit for bit.
 
-    The entropy is the master seed's words, zero-padded to the pool size
-    (as ``SeedSequence`` pads it before a spawn key), then the words of the
-    path and the sample index, one entropy column per sample.  Samples from
-    index 2^32 on, whose index takes a second word, are keyed by
-    ``SeedSequence`` itself: no ensemble reaches them.
+    The sample index is the last entropy word, so numpy's own
+    ``SeedSequence(master_seed, spawn_key=path)`` mixes the W words before
+    it (the seed, zero-padded to four words, then the path) into its
+    ``pool``, once per block.  Only the index word is mixed in here, with
+    hash constants init * mult^(4W + j), and ``generate_state``'s hash run,
+    on uint32 arrays, which wrap where the C code wraps (numpy scalars
+    would trap under ``np.errstate(over="raise")``).  Indices from 2^32 on,
+    which take a second word, are keyed by ``SeedSequence`` itself: no
+    ensemble reaches them.
     """
     if min(master_seed, *path, start) < 0:
         raise ValueError("stream seeds, path and sample indices must be non-negative")
-    seed = _words(master_seed)
-    prefix = seed + [0] * (_POOL_SIZE - len(seed)) + [w for i in path for w in _words(i)]
+    pool = np.random.SeedSequence(master_seed, spawn_key=path).pool[:, None]
+    words = [(int(n).bit_length() + 31) // 32 or 1 for n in (master_seed, *path)]
+    k = 4 * (max(4, words[0]) + sum(words[1:]))
+    consts_a = [_INIT_A * pow(_MULT_A, k + j, 1 << 32) & _MASK32 for j in range(5)]
+    consts_b = [_INIT_B * pow(_MULT_B, j, 1 << 32) & _MASK32 for j in range(5)]
     wide = max(start, min(stop, 1 << 32))
-    entropy = np.empty((len(prefix) + 1, wide - start), dtype=np.uint32)
-    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
-    entropy[-1] = np.arange(start, wide)
-    keys = [_seed_sequence_keys(entropy)] + [
+    index = np.arange(start, wide, dtype=np.uint32)
+    pool = _mix(pool, _hashmix(index, np.array(consts_a, dtype=np.uint32)[:, None]))
+    state = _hashmix(pool, np.array(consts_b, dtype=np.uint32)[:, None]).astype(np.uint64)
+    keys = [np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)] + [
         np.random.SeedSequence(master_seed, spawn_key=path + (i,)).generate_state(2, np.uint64)[None]
         for i in range(wide, stop)
     ]

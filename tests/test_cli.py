@@ -987,27 +987,31 @@ def test_package_init_loads_no_numpy():
 
 
 # What the spde-lab console script runs before main(): numpy's BLAS thread
-# count and this process's threads once the CLI has loaded.
+# count, this process's threads and whether numpy.random is loaded once the
+# CLI has loaded.
 _LOAD_PROBE = """
-import json
+import json, sys
 from spde_lab.cli import main
 from spde_lab import montecarlo
+random_loaded = "numpy.random" in sys.modules
 status = open("/proc/self/status").read()
 threads = int(status.split("Threads:")[1].split()[0])
-print(json.dumps({"blas": montecarlo._openblas()[0](), "threads": threads}))
+print(json.dumps({"blas": montecarlo._openblas()[0](), "threads": threads,
+                  "random": random_loaded}))
 """
 
 
 @pytest.mark.parametrize("inherited", [None, "2"])
 def test_cli_loads_openblas_at_one_thread(inherited):
     # cli sets OPENBLAS_NUM_THREADS=1 before numpy loads OpenBLAS, over an
-    # inherited value, so OpenBLAS's thread server never starts.
+    # inherited value, so OpenBLAS's thread server never starts.  Loading
+    # the CLI imports no numpy.random: the first draw or pool start does.
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc to count this process's threads")
     if montecarlo._openblas() is None:
         pytest.skip("numpy's bundled OpenBLAS was not found")
     env = _fresh_env() if inherited is None else _fresh_env(OPENBLAS_NUM_THREADS=inherited)
-    assert _probe(_LOAD_PROBE, env=env) == {"blas": 1, "threads": 1}
+    assert _probe(_LOAD_PROBE, env=env) == {"blas": 1, "threads": 1, "random": False}
 
 
 # Loads numpy before the CLI, as a calling program may, then runs spde-lab's

@@ -73,15 +73,19 @@ def _seed_sequence_draws(master_seed, path, samples, shape) -> np.ndarray:
     ])
 
 
-@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7])
-@pytest.mark.parametrize("path", [(), (0,), (1, 5), (2**40,)])
+@pytest.mark.parametrize(
+    "master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1, 2**128 + 7, 2**160 + 3]
+)
+@pytest.mark.parametrize("path", [(), (0,), (1, 5), (2**40,), (2**64 + 9,), (0, 2**40, 7)])
 def test_philox_keys_match_seed_sequence(master_seed, path):
     # The vectorized keys equal SeedSequence's, also in a block across index
     # 2^32, where the sample index grows a second entropy word and the keys
-    # from 2^32 on come from SeedSequence itself.  The CLI runs under
-    # errstate(over="raise"), where uint32 scalars, unlike arrays, trap on
-    # wraparound.
-    for start, stop in [(0, 5), (126, 131), (2**32 - 3, 2**32 + 2)]:
+    # from 2^32 on come from SeedSequence itself, and in one wholly above it.
+    # Seeds of one to six words and paths of up to three words (one of them
+    # a three-word entry) move the index word's hash constants.  The CLI runs
+    # under errstate(over="raise"), where uint32 scalars, unlike arrays, trap
+    # on wraparound.
+    for start, stop in [(0, 5), (126, 131), (2**32 - 3, 2**32 + 2), (2**32 + 5, 2**32 + 7)]:
         with np.errstate(over="raise"):
             keys = montecarlo._philox_keys(master_seed, path, start, stop)
         expected = [
@@ -136,6 +140,23 @@ def test_block_chunks_concatenate_to_per_sample_draws(monkeypatch, shape, rows):
     assert [c.shape[1] for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
     expected = _seed_sequence_draws(13, (), range(5, 9), shape)
     assert np.array_equal(np.concatenate(chunks, axis=1), expected)
+
+
+def test_block_keys_come_from_one_seed_sequence(monkeypatch):
+    # A whole block's keys are derived from one SeedSequence, not one per
+    # sample as before the vectorized keys, and its draws are each sample's own.
+    expected = _seed_sequence_draws(5, (0,), range(128), (4,))
+    built = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    draws = np.concatenate(list(RandomStream(5).child(0).block_chunks(0, 128, (4,))), axis=1)
+    assert len(built) == 1
+    assert np.array_equal(draws, expected)
 
 
 def _loop_child_calls(tree) -> set:

@@ -20,19 +20,29 @@ config                           mutant                        exit 1
 ``wave --t-final 1``             gain x 1.05, all modes        5
 ``wave --t-final 1``             gain x 1.10, mode 1           5
 ``wave --t-final 1``             Cholesky cross factor negated 5
+``wave --t-final 1``             block-start key per sample    5
+``wave --t-final 1``             block-local sample index      5
 ``heat``                         none                          1 (seed 0)
 ``heat``                         epsilon x 1.05 in sampler     3
 ``heat``                         Ito drift -eps^2/2 dropped    5
 ``heat``, 2 KiB time slices      running sums without carry    5
+``heat``                         block-start key per sample    5
+``heat``                         block-local sample index      5
 ``wiener`` defaults              none                          0
 ``wiener`` defaults              Q x 1.2 in the kernel         5
+``wiener`` defaults              block-start key per sample    5
+``wiener`` defaults              block-local sample index      4
 ``lyapunov`` defaults            none                          0
 ``lyapunov`` defaults            Ito drift dropped in the path 4
 ``lyapunov`` defaults            gamma x 1.5 in the path       5
 ``burgers`` (``BURGERS`` below)  none                          0
 ``burgers`` (``BURGERS`` below)  sigma x 1.5 in sampler        4
 ``burgers`` (``BURGERS`` below)  no diffusion (eigenvalues 0)  5
+``burgers`` (``BURGERS`` below)  block-start key per sample    3
 ===============================  ============================  ======
+
+The two keying mutants patch ``montecarlo._philox_keys`` and are asserted
+on ``heat``, the cheapest config that catches both in every seed.
 
 Not caught, so not asserted here (the gate has no power against them yet):
 
@@ -41,6 +51,7 @@ Not caught, so not asserted here (the gate has no power against them yet):
 ``wiener`` defaults              Q x 1.05 in the kernel       1
 ``lyapunov`` defaults            gamma x 1.10 in the path     0
 ``burgers`` (``BURGERS``)        sigma x 0.5 in sampler       0
+``burgers`` (``BURGERS``)        block-local sample index     0 (ROADMAP item 13)
 ===============================  ===========================  ======
 """
 
@@ -136,6 +147,24 @@ def _heat_without_carry(monkeypatch):
     monkeypatch.setattr(heat, "running_sums", _sums_without_carry)
 
 
+def _keys_of_block_start(monkeypatch):
+    """Key every sample of a block like the block's first sample."""
+    keys = montecarlo._philox_keys
+    monkeypatch.setattr(montecarlo, "_philox_keys", lambda seed, path, start, stop: np.repeat(
+        keys(seed, path, start, start + 1), stop - start, axis=0))
+
+
+def _keys_of_block_index(monkeypatch):
+    """Key samples by their index within the block, so every block repeats the first."""
+    keys = montecarlo._philox_keys
+
+    def block_local(seed, path, start, stop):
+        offset = start - start % montecarlo.BLOCK_SIZE
+        return keys(seed, path, start - offset, stop - offset)
+
+    monkeypatch.setattr(montecarlo, "_philox_keys", block_local)
+
+
 @pytest.mark.parametrize(
     "argv, patch, caught",
     [
@@ -145,6 +174,8 @@ def _heat_without_carry(monkeypatch):
                      id="heat-epsilon-1.05"),
         pytest.param(HEAT, _heat_without_ito_drift, 5, id="heat-no-ito-drift"),
         pytest.param(HEAT, _heat_without_carry, 5, id="heat-sums-without-carry"),
+        pytest.param(HEAT, _keys_of_block_start, 5, id="heat-keys-of-block-start"),
+        pytest.param(HEAT, _keys_of_block_index, 5, id="heat-keys-of-block-index"),
         pytest.param(BURGERS, _sampler_scale(burgers, "trace_block", "sigma", 1.5), 4,
                      id="burgers-sigma-1.5"),
         pytest.param(WIENER, _sampler_scale(cli, "_wiener_block", "eigenvalues", 1.2), 5,
